@@ -165,7 +165,11 @@ impl Json {
     /// Parse a JSON document (the whole input must be one value).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -210,9 +214,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a request body
+/// of `[[[[…` exhaust the thread's stack; nothing the suite writes comes
+/// near this.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -257,8 +269,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -319,53 +342,54 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Take the whole run of plain bytes up to the next `"` or `\`
+            // at once. Both delimiters are ASCII, so the run ends on a char
+            // boundary and validating just the run keeps parsing linear.
             let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err(self.err("unterminated string"));
-            };
-            match b {
-                b'"' => {
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            if run > 0 {
+                let s = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+                out.push_str(s);
+                self.pos += run;
+            }
+            match self.bytes.get(self.pos) {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
-                    self.pos += 1;
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                Some(_) => self.pos += 1, // the `\` that ended the run
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our writer; map
+                    // lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -441,6 +465,68 @@ mod tests {
         let text = Json::Num(2.0).render();
         assert_eq!(text, "2.0");
         assert_eq!(Json::parse(&text).unwrap(), Json::Num(2.0));
+    }
+
+    #[test]
+    fn multibyte_text_next_to_escapes_survives() {
+        for text in ["é\n", "\n€", "😀\"😀", "\\ü\\", "日本\t語", "x\\u00e9y"] {
+            let v = Json::str(text);
+            assert_eq!(Json::parse(&v.render()).unwrap(), v, "{text:?}");
+        }
+        let raw = "\"é\\n€\\\"😀\"";
+        assert_eq!(Json::parse(raw).unwrap(), Json::str("é\n€\"😀"));
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        let parsed = Json::parse(r#""\u00e9\u20ac\u0001\u0041""#).unwrap();
+        assert_eq!(parsed, Json::str("é€\u{1}A"));
+        // A lone surrogate maps to the replacement char.
+        assert_eq!(Json::parse(r#""\ud800""#).unwrap(), Json::str("\u{fffd}"));
+        let bad = Json::parse(r#""\u12""#).unwrap_err();
+        assert_eq!((bad.message.as_str(), bad.at), ("bad \\u escape", 3));
+        let bad = Json::parse(r#""\uzzzz""#).unwrap_err();
+        assert_eq!((bad.message.as_str(), bad.at), ("bad \\u escape", 3));
+    }
+
+    #[test]
+    fn megabyte_string_round_trips() {
+        let chunk = "plain ascii, é, €, 😀, \"quoted\", back\\slash\n";
+        let big: String = chunk.repeat((1 << 20) / chunk.len() + 1);
+        assert!(big.len() >= 1 << 20);
+        let v = Json::obj(vec![("blob", Json::str(big.clone()))]);
+        let back = Json::parse(&v.render()).unwrap();
+        assert_eq!(back.get("blob").and_then(Json::as_str), Some(big.as_str()));
+    }
+
+    #[test]
+    fn errors_keep_their_offsets() {
+        let unterminated = Json::parse("\"abc").unwrap_err();
+        assert_eq!(
+            (unterminated.message.as_str(), unterminated.at),
+            ("unterminated string", 4)
+        );
+        let text = "{\"k\": \"é€ and more";
+        let e = Json::parse(text).unwrap_err();
+        assert_eq!(
+            (e.message.as_str(), e.at),
+            ("unterminated string", text.len())
+        );
+        let e = Json::parse("\"ab\\").unwrap_err();
+        assert_eq!((e.message.as_str(), e.at), ("unterminated escape", 4));
+        let e = Json::parse("\"ab\\q\"").unwrap_err();
+        assert_eq!((e.message.as_str(), e.at), ("unknown escape", 5));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = "[".repeat(1 << 20);
+        let e = Json::parse(&deep).unwrap_err();
+        assert_eq!((e.message.as_str(), e.at), ("nesting too deep", MAX_DEPTH));
+        let e = Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.message, "nesting too deep");
     }
 
     #[test]

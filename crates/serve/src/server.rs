@@ -20,7 +20,10 @@
 //! - identical deterministic probes across sessions hit the process-wide
 //!   [`ProbeCache`] (`serve.cache_hits` / `serve.cache_misses`), so N
 //!   identical-config sessions pay for each wizard question once;
-//! - identical configs share one [`SessionCtx`] via [`CtxCache`].
+//! - identical configs share one [`SessionCtx`] via [`CtxCache`];
+//! - each session's `StepMemo` (next to its delta store) resumes every
+//!   step from the last design-unit boundary, so an answer replays at most
+//!   its own design unit instead of the whole answer log.
 //!
 //! Storage failure narrows the service instead of killing it: a failed
 //! WAL append flips the server [`Health::Degraded`] — mutating endpoints

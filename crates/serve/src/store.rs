@@ -11,7 +11,7 @@ use muse_cliogen::GroupingStrategy;
 use muse_nr::Instance;
 use muse_obs::{Budget, Json, Metrics};
 use muse_scenarios::Scenario;
-use muse_wizard::{Answer, ProbeCache, Session, Step, WizardError};
+use muse_wizard::{Answer, ProbeCache, Session, Step, StepMemo, WizardError};
 
 use crate::oracle;
 use crate::proto;
@@ -362,16 +362,23 @@ pub struct SessionEntry {
     /// `panic_quarantine` threshold the session is poisoned. Reset by a
     /// successful step.
     pub panics: u32,
-    /// The session's incremental chase store: probe chases across the
-    /// quadratic replay rederive unchanged bindings from materialized
-    /// state instead of re-chasing from scratch. Byte-invisible in every
-    /// response (scratch fallback under budgets/faults); serialized into
-    /// WAL snapshot records so a restart restores it warm.
+    /// The session's incremental chase store: probe chases, including
+    /// those of steps that replay answers, rederive unchanged bindings
+    /// from materialized state instead of re-chasing from scratch.
+    /// Byte-invisible in every response (scratch fallback under
+    /// budgets/faults); serialized into WAL snapshot records so a restart
+    /// restores it warm.
     pub delta: Arc<DeltaStore>,
+    /// The session's step resume point: an answer that extends the log
+    /// replays only the current design unit instead of the whole log.
+    /// Byte-invisible (full replay whenever the log does not extend the
+    /// recorded prefix, or under a budget or fault plan); runtime-only, so
+    /// the first step after a restart replays in full and records it.
+    pub step_memo: StepMemo,
 }
 
 impl SessionEntry {
-    /// Re-run the stepper over the recorded answers and refresh `status`.
+    /// Step the session over the recorded answers and refresh `status`.
     /// Returns the step so callers (the oracle loop, the create handler)
     /// can act on the typed question without re-parsing JSON.
     ///
@@ -399,8 +406,10 @@ impl SessionEntry {
         // replay nondeterministic (see DESIGN.md, replay invariant).
         .with_real_example_budget(None)
         // Safe under any budget: the store itself falls back to a scratch
-        // chase (`chase.delta_fallbacks`) whenever the budget is limited.
-        .with_delta(&self.delta);
+        // chase (`chase.delta_fallbacks`) whenever the budget is limited,
+        // and `step` bypasses the memo.
+        .with_delta(&self.delta)
+        .with_step_memo(&self.step_memo);
         if let Some(cache) = probes {
             if budget.is_unlimited() {
                 session = session.with_probe_cache(cache, &self.probe_ctx);
@@ -481,6 +490,7 @@ impl Store {
             },
             panics: 0,
             delta: Arc::new(DeltaStore::new()),
+            step_memo: StepMemo::new(),
         }));
         map.insert(id, Arc::clone(&entry));
         Ok(entry)
@@ -506,6 +516,7 @@ impl Store {
             },
             panics: 0,
             delta: Arc::new(DeltaStore::new()),
+            step_memo: StepMemo::new(),
         }));
         self.map().insert(id, Arc::clone(&entry));
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);

@@ -227,6 +227,51 @@ fn protocol_errors_have_the_documented_statuses() {
 }
 
 #[test]
+fn answers_resume_from_the_session_step_memo() {
+    let (client, _server, handle) = spawn(ServerConfig::default());
+    let created = client.create_session(&small_cfg("DBLP")).expect("create");
+    let id = created.get("session").and_then(Json::as_int).unwrap() as u64;
+
+    // A rejected answer: the validating step and the restoring step both
+    // start from the resume point the create step left behind.
+    let bad = Json::obj(vec![
+        ("kind", Json::str("join")),
+        ("pick", Json::str("inner")),
+    ]);
+    let (status, _) = client
+        .request("POST", &format!("/sessions/{id}/answer"), Some(&bad))
+        .unwrap();
+    assert_eq!(status, 400);
+
+    let n = drive(&client, id, created).len() as i64;
+    let metrics = client.metrics().expect("metrics");
+    let counter = |key: &str| {
+        metrics
+            .get("metrics")
+            .and_then(|m| m.get("counters"))
+            .and_then(|c| c.get(key))
+            .and_then(Json::as_int)
+    };
+    // Every accepted answer's step resumed, and so did both steps around
+    // the rejected one; only the create step replayed from scratch.
+    assert_eq!(
+        counter("wizard.step_resumes"),
+        Some(n + 2),
+        "{}",
+        metrics.render()
+    );
+    let replayed = counter("wizard.step_replayed").unwrap_or(0);
+    assert!(
+        replayed < n * (n + 1) / 2,
+        "{replayed} answers replayed over {n} answers: {}",
+        metrics.render()
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+#[test]
 fn capacity_overflow_is_shed_with_503() {
     let (client, server, handle) = spawn(ServerConfig {
         max_sessions: 1,

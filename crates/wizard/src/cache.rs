@@ -4,8 +4,10 @@
 //! `QIe` example search plus one or two chases. The inputs are purely
 //! deterministic — (schemas, constraints, instance, mapping text, probe
 //! parameters) — so a served deployment answering many similar sessions
-//! recomputes identical questions over and over, and `Session::step`
-//! replay makes even a single session quadratic in that unit.
+//! recomputes identical questions over and over, and every `Session::step`
+//! re-asks the already-answered questions it replays: those of the current
+//! design unit when a [`crate::step::StepMemo`] resumes it, the whole
+//! answer log otherwise (a restart, a log that left the memo's prefix).
 //! [`ProbeCache`] memoizes finished questions behind a bounded FIFO map
 //! shared across sessions (and threads), so a repeated probe degenerates
 //! to a lookup plus an `Arc` clone — the replay hot path never deep-copies

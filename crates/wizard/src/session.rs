@@ -5,11 +5,17 @@
 //! Muse-D, then walks the designer through the grouping design of every
 //! resulting mapping with Muse-G, and reports the final mappings plus the
 //! per-phase statistics the paper's Sec. VI tables are built from.
+//!
+//! A run is one loop over *design units*: a Muse-D disambiguation per
+//! ambiguous mapping, a join question per (mapping, variable) and a Muse-G
+//! grouping design per (mapping, nested set). Between units the whole run
+//! state is a `Progress` value, which [`Session::step`] can keep and
+//! resume from (see [`crate::step`]).
 
 use std::time::Duration;
 
 use muse_mapping::{Grouping, Mapping};
-use muse_nr::{Constraints, Instance, Schema};
+use muse_nr::{Constraints, Instance, Schema, SetPath};
 use muse_obs::{Budget, Metrics};
 
 use muse_mapping::WhereClause;
@@ -63,6 +69,11 @@ pub struct Session<'a> {
     /// byte-identical (scratch fallback under budgets/faults). See
     /// [`muse_chase::DeltaStore`].
     pub delta: Option<&'a muse_chase::DeltaStore>,
+    /// Resume point for [`Session::step`]: a step whose answers extend the
+    /// memo's recorded prefix replays only the current design unit.
+    /// Consulted under the same gate as `probe_cache`, and only while no
+    /// fault plan is armed. See [`crate::step::StepMemo`].
+    pub step_memo: Option<&'a crate::step::StepMemo>,
 }
 
 /// What a session produced.
@@ -135,6 +146,7 @@ impl<'a> Session<'a> {
             real_example_budget: Some(Duration::from_millis(750)),
             probe_cache: None,
             delta: None,
+            step_memo: None,
         }
     }
 
@@ -180,6 +192,13 @@ impl<'a> Session<'a> {
         self
     }
 
+    /// Resume [`Session::step`] from `memo` instead of replaying every
+    /// recorded answer (see [`crate::step::StepMemo`]).
+    pub fn with_step_memo(mut self, memo: &'a crate::step::StepMemo) -> Self {
+        self.step_memo = Some(memo);
+        self
+    }
+
     /// Run the wizard over `mappings` (e.g. the output of
     /// `muse_cliogen::generate`), interrogating `designer`.
     pub fn run(
@@ -187,13 +206,29 @@ impl<'a> Session<'a> {
         mappings: &[Mapping],
         designer: &mut dyn Designer,
     ) -> Result<SessionReport, WizardError> {
-        // Static selectivity hints from the declared source constraints:
-        // both wizards plan their chase/QIe joins with them (same answers,
-        // fewer query steps). Borrowed by the wizards for the whole run.
-        let hints = muse_query::SelectivityHints::from_constraints(
-            self.source_schema,
-            self.source_constraints,
-        );
+        let hints = self.hints();
+        let wizards = self.wizards(&hints);
+        let mut progress = Progress::default();
+        while self.run_unit(&wizards, &mut progress, mappings, designer)? {}
+        Ok(progress.into_report())
+    }
+
+    /// Static selectivity hints from the declared source constraints: both
+    /// wizards plan their chase/QIe joins with them (same answers, fewer
+    /// query steps).
+    pub(crate) fn hints(&self) -> muse_query::SelectivityHints {
+        muse_query::SelectivityHints::from_constraints(self.source_schema, self.source_constraints)
+    }
+
+    /// The two component wizards, configured from the session and
+    /// borrowing `hints` for the whole run.
+    pub(crate) fn wizards<'h>(
+        &self,
+        hints: &'h muse_query::SelectivityHints,
+    ) -> (MuseD<'h>, MuseG<'h>)
+    where
+        'a: 'h,
+    {
         let mut mused = MuseD::new(
             self.source_schema,
             self.target_schema,
@@ -204,7 +239,7 @@ impl<'a> Session<'a> {
         mused.metrics = self.metrics;
         mused.real_example_budget = self.real_example_budget;
         mused.probe_cache = self.probe_cache;
-        mused.plan_hints = Some(&hints);
+        mused.plan_hints = Some(hints);
         mused.delta = self.delta;
         let mut museg = MuseG::new(
             self.source_schema,
@@ -217,74 +252,170 @@ impl<'a> Session<'a> {
         museg.metrics = self.metrics;
         museg.real_example_budget = self.real_example_budget;
         museg.probe_cache = self.probe_cache;
-        museg.plan_hints = Some(&hints);
+        museg.plan_hints = Some(hints);
         museg.delta = self.delta;
+        (mused, museg)
+    }
 
-        // Phase 1: Muse-D on every ambiguous mapping.
-        let mut unambiguous: Vec<Mapping> = Vec::new();
-        let mut disambiguations = Vec::new();
-        for m in mappings {
-            if m.is_ambiguous() {
-                let out = mused.disambiguate(m, designer)?;
-                unambiguous.extend(out.selected.iter().cloned());
-                disambiguations.push(out);
-            } else {
-                unambiguous.push(m.clone());
-            }
-        }
-
-        // Phase 1.5 (optional): inner/outer join choices. For every source
-        // variable whose tuples feed target elements on their own, and whose
-        // standalone exchange is not already a mapping of Σ (like m3 in
-        // Fig. 1), ask whether dangling tuples should be exchanged too.
-        let mut join_questions = 0usize;
-        let mut companions: Vec<Mapping> = Vec::new();
-        if self.offer_join_options {
-            let snapshot = unambiguous.clone();
-            for m in &snapshot {
-                for v in 0..m.source_vars.len() {
-                    let Ok(companion) = outer_companion(m, v) else {
+    /// Run the next design unit of the session: one Muse-D disambiguation
+    /// (phase 1), one inner/outer join question (phase 1.5, with
+    /// `offer_join_options`) or one Muse-G grouping design (phase 2).
+    /// Returns `false` once no unit is left.
+    ///
+    /// A unit changes `progress` only when it completes, so on any error
+    /// — including [`WizardError::Suspended`] mid-unit — `progress` is the
+    /// state at the boundary before the failing unit.
+    pub(crate) fn run_unit(
+        &self,
+        (mused, museg): &(MuseD<'_>, MuseG<'_>),
+        p: &mut Progress,
+        mappings: &[Mapping],
+        designer: &mut dyn Designer,
+    ) -> Result<bool, WizardError> {
+        loop {
+            match p.next {
+                // Phase 1: Muse-D on every ambiguous mapping.
+                Cursor::Disambiguate(i) => {
+                    let Some(m) = mappings.get(i) else {
+                        p.next = if self.offer_join_options {
+                            Cursor::Join(0, 0)
+                        } else {
+                            Cursor::Sets(0)
+                        };
                         continue;
                     };
-                    if covered_by_sigma(&companion, &snapshot) {
+                    if !m.is_ambiguous() {
+                        p.unambiguous.push(m.clone());
+                        p.next = Cursor::Disambiguate(i + 1);
                         continue;
                     }
-                    join_questions += 1;
-                    if let Some(mut c) = mused.design_join(m, v, designer)? {
-                        c.name = format!("{}~outer{}", m.name, companions.len() + 1);
-                        companions.push(c);
-                    }
+                    let out = mused.disambiguate(m, designer)?;
+                    p.next = Cursor::Disambiguate(i + 1);
+                    p.unambiguous.extend(out.selected.iter().cloned());
+                    p.disambiguations.push(out);
+                    return Ok(true);
                 }
+                // Phase 1.5 (optional): inner/outer join choices. For every
+                // source variable whose tuples feed target elements on their
+                // own, and whose standalone exchange is not already a
+                // mapping of Σ (like m3 in Fig. 1), ask whether dangling
+                // tuples should be exchanged too. Σ is `unambiguous` as
+                // phase 1 left it: companions join it only after the phase.
+                Cursor::Join(i, v) => {
+                    let Some(m) = p.unambiguous.get(i) else {
+                        p.unambiguous.extend(p.companions.iter().cloned());
+                        p.next = Cursor::Sets(0);
+                        continue;
+                    };
+                    if v >= m.source_vars.len() {
+                        p.next = Cursor::Join(i + 1, 0);
+                        continue;
+                    }
+                    let asks = outer_companion(m, v)
+                        .is_ok_and(|companion| !covered_by_sigma(&companion, &p.unambiguous));
+                    if !asks {
+                        p.next = Cursor::Join(i, v + 1);
+                        continue;
+                    }
+                    let chosen = mused.design_join(m, v, designer)?;
+                    p.next = Cursor::Join(i, v + 1);
+                    p.join_questions += 1;
+                    if let Some(mut c) = chosen {
+                        c.name = format!("{}~outer{}", m.name, p.companions.len() + 1);
+                        p.companions.push(c);
+                    }
+                    return Ok(true);
+                }
+                // Phase 2: Muse-G on every grouping function of every
+                // mapping, in the breadth-first target order of Sec. III-A
+                // Step 1, so deeper sets are designed with the shallower
+                // ones already fixed.
+                Cursor::Sets(i) => {
+                    let Some(m) = p.unambiguous.get(i) else {
+                        p.next = Cursor::Finished;
+                        continue;
+                    };
+                    let filled = m.filled_target_sets(self.target_schema)?;
+                    p.sets = self.target_schema.set_paths_bfs();
+                    p.sets.retain(|sk| filled.contains(sk));
+                    p.next = Cursor::Grouping(i, 0);
+                }
+                Cursor::Grouping(i, k) => {
+                    let (Some(m), Some(sk)) = (p.unambiguous.get_mut(i), p.sets.get(k)) else {
+                        p.next = Cursor::Sets(i + 1);
+                        continue;
+                    };
+                    let outcome = museg.design_grouping(m, sk, designer)?;
+                    m.set_grouping(sk.clone(), Grouping::new(outcome.grouping.clone()));
+                    p.groupings.push((m.name.clone(), outcome));
+                    p.next = Cursor::Grouping(i, k + 1);
+                    return Ok(true);
+                }
+                Cursor::Finished => return Ok(false),
             }
-            unambiguous.extend(companions.iter().cloned());
         }
+    }
+}
 
-        // Phase 2: Muse-G on every grouping function of every mapping.
-        let mut groupings = Vec::new();
-        for m in &mut unambiguous {
-            let outcomes = museg.design_all_groupings(m, designer)?;
-            for o in outcomes {
-                m.set_grouping(o.sk.clone(), Grouping::new(o.grouping.clone()));
-                groupings.push((m.name.clone(), o));
-            }
-        }
+/// Where a session run stands between design units: every decision made
+/// so far plus the next unit to run. Together with the session's inputs
+/// it determines the rest of the run, which is what lets
+/// [`crate::step::StepMemo`] resume a stepped session from it.
+#[derive(Debug, Default)]
+pub(crate) struct Progress {
+    next: Cursor,
+    /// Phase 1 output; phase 1.5 appends the companions, phase 2 fills in
+    /// the designed groupings.
+    unambiguous: Vec<Mapping>,
+    disambiguations: Vec<DisambiguationOutcome>,
+    join_questions: usize,
+    /// Companion mappings added by outer choices so far.
+    companions: Vec<Mapping>,
+    /// The filled nested sets of the mapping phase 2 is designing, in
+    /// breadth-first order.
+    sets: Vec<SetPath>,
+    groupings: Vec<(String, GroupingOutcome)>,
+}
 
+/// The next design unit, as indices into the run's inputs.
+#[derive(Debug, Clone, Copy)]
+enum Cursor {
+    /// Input mapping `i` (Muse-D when it is ambiguous).
+    Disambiguate(usize),
+    /// Source variable `v` of unambiguous mapping `i` (join question).
+    Join(usize, usize),
+    /// The filled nested sets of unambiguous mapping `i` (phase 2).
+    Sets(usize),
+    /// The `k`-th of those sets (Muse-G).
+    Grouping(usize, usize),
+    /// Nothing left to design.
+    Finished,
+}
+
+impl Default for Cursor {
+    fn default() -> Self {
+        Cursor::Disambiguate(0)
+    }
+}
+
+impl Progress {
+    /// The finished session's report.
+    pub(crate) fn into_report(self) -> SessionReport {
         let mut warnings: Vec<String> = Vec::new();
-        for d in &disambiguations {
+        for d in &self.disambiguations {
             warnings.extend(d.warnings.iter().cloned());
         }
-        for (_, g) in &groupings {
+        for (_, g) in &self.groupings {
             warnings.extend(g.warnings.iter().cloned());
         }
-
-        Ok(SessionReport {
-            mappings: unambiguous,
-            disambiguations,
-            groupings,
-            join_questions,
-            companions_added: companions.len(),
+        SessionReport {
+            mappings: self.unambiguous,
+            disambiguations: self.disambiguations,
+            groupings: self.groupings,
+            join_questions: self.join_questions,
+            companions_added: self.companions.len(),
             warnings,
-        })
+        }
     }
 }
 

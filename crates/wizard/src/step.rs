@@ -7,25 +7,35 @@
 //! back, possibly in a different process after a crash.
 //!
 //! [`Session::step`] provides that shape without forking the wizard logic:
-//! it replays the session against the ordered list of answers given so far
-//! using an internal replay designer. When the wizard asks question `k+1`
-//! after `k` recorded answers, the replay designer captures the question
-//! and aborts the run with the [`WizardError::Suspended`] sentinel, which
-//! `step` translates into [`Step::Ask`]. Once the answer list covers every
-//! question the wizard wants to ask, the run completes and `step` returns
-//! [`Step::Done`] with the same [`SessionReport`] a scripted
-//! run-to-completion session would have produced — byte for byte, because
-//! the wizard is deterministic in its inputs.
+//! it drives the session's design-unit loop against the ordered list of
+//! answers given so far using an internal replay designer. When the wizard
+//! asks question `k+1` after `k` recorded answers, the replay designer
+//! captures the question and aborts the run with the
+//! [`WizardError::Suspended`] sentinel, which `step` translates into
+//! [`Step::Ask`]. Once the answer list covers every question the wizard
+//! wants to ask, the run completes and `step` returns [`Step::Done`] with
+//! the same [`SessionReport`] a scripted run-to-completion session would
+//! have produced — byte for byte, because the wizard is deterministic in
+//! its inputs.
 //!
-//! The trade-off is quadratic replay: advancing a session of `k` answers
-//! re-runs the wizard prefix `k` times over the whole session. Muse
-//! sessions are short (tens of questions) and each prefix run is
-//! milliseconds at service scales, and in exchange resumption is *trivially
-//! correct*: resuming from a write-ahead answer log after a crash is the
-//! exact same code path as answering one more question. Determinism
-//! caveat: replay equality requires an exhaustive real-example search
-//! (`Session::with_real_example_budget(None)`) — the default wall-clock
-//! cap can time out on one run and not the next.
+//! Without a memo every step replays the whole answer log, so a session of
+//! `k` answers costs `k` replays of a growing prefix: quadratic, and
+//! resuming from a write-ahead answer log after a crash is the exact same
+//! code path as answering one more question. A [`StepMemo`] attached with
+//! [`Session::with_step_memo`] cuts that to the current design unit: each
+//! step hands the run state at its last unit boundary to the memo, and the
+//! next step whose answers extend the consumed prefix starts from there.
+//! Any other log — a popped or rejected answer, a divergent history, a log
+//! from another session — falls back to the full replay, which stays the
+//! restart path and the reference the resumed path is tested against.
+//!
+//! Determinism caveat: replay equality requires an exhaustive
+//! real-example search (`Session::with_real_example_budget(None)`) — the
+//! default wall-clock cap can time out on one run and not the next. The
+//! memo is consulted only under that setting, an unlimited budget and no
+//! armed fault plan.
+
+use std::sync::{Mutex, MutexGuard};
 
 use muse_mapping::Mapping;
 use muse_nr::Schema;
@@ -35,7 +45,7 @@ use crate::error::WizardError;
 use crate::mused::joins::JoinQuestion;
 use crate::mused::DisambiguationQuestion;
 use crate::museg::GroupingQuestion;
-use crate::session::{Session, SessionReport};
+use crate::session::{Progress, Session, SessionReport};
 
 /// One recorded designer answer, in question order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,34 +202,141 @@ impl Designer for StepDesigner<'_> {
     }
 }
 
+/// A resume point for [`Session::step`], attached with
+/// [`Session::with_step_memo`].
+///
+/// Each step records the run state at the last design-unit boundary it
+/// reached, together with the answers consumed to get there. The next step
+/// whose answer log extends that prefix starts from the recorded state and
+/// replays only the current unit's answers. The state moves from step to
+/// step; it is never copied.
+///
+/// A memo belongs to one session context: the schemas, constraints,
+/// instance and options of the [`Session`] it is attached to. A step with
+/// different input mappings ignores it.
+#[derive(Default)]
+pub struct StepMemo {
+    slot: Mutex<Option<Checkpoint>>,
+}
+
+impl std::fmt::Debug for StepMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StepMemo")
+            .field("resume_point", &self.resume_point())
+            .finish()
+    }
+}
+
+/// The run state at a unit boundary and how it was reached.
+struct Checkpoint {
+    /// The input mappings of the run.
+    mappings: Vec<Mapping>,
+    /// The answers consumed to reach `progress`, in order.
+    answers: Vec<Answer>,
+    progress: Progress,
+}
+
+impl StepMemo {
+    /// An empty memo: the first step replays in full.
+    pub fn new() -> Self {
+        StepMemo::default()
+    }
+
+    /// Number of answers the recorded resume point covers; `None` when
+    /// there is none.
+    pub fn resume_point(&self) -> Option<usize> {
+        self.lock().as_ref().map(|c| c.answers.len())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Option<Checkpoint>> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Hand over the resume point when `answers` extends its prefix and it
+    /// was recorded for `mappings`. Either way the memo is left empty: the
+    /// step puts back the state it ends at.
+    fn take_matching(&self, mappings: &[Mapping], answers: &[Answer]) -> Option<Checkpoint> {
+        self.lock()
+            .take()
+            .filter(|c| answers.starts_with(&c.answers) && c.mappings == mappings)
+    }
+
+    fn put(&self, checkpoint: Checkpoint) {
+        *self.lock() = Some(checkpoint);
+    }
+}
+
 impl Session<'_> {
-    /// Advance the session as far as `answers` carries it: replay the
+    /// Advance the session as far as `answers` carries it: drive the
     /// wizard against the recorded answers and either surface the first
     /// unanswered question ([`Step::Ask`]) or the finished report
-    /// ([`Step::Done`]).
+    /// ([`Step::Done`]). With a [`StepMemo`] attached, the run starts from
+    /// the memo's resume point when `answers` extends it.
+    ///
+    /// Counts `wizard.step_resumes` (steps started from the memo) and
+    /// `wizard.step_replayed` (answers consumed on the way to the open
+    /// question or the end).
     ///
     /// Errors: [`WizardError::BadAnswer`] when an answer's kind does not
     /// match its question or when answers remain after the session
     /// completed (both indicate a corrupt or mismatched answer log);
     /// otherwise whatever the underlying wizard run raises.
     pub fn step(&self, mappings: &[Mapping], answers: &[Answer]) -> Result<Step, WizardError> {
+        // Resume only where the run is a pure function of its answers. A
+        // deadline spans the whole step and an armed fault plan counts
+        // hits, so a resumed step would truncate elsewhere; the memo takes
+        // the whole ProbeCache/DeltaStore gate, count caps included.
+        let memo = self.step_memo.filter(|_| {
+            self.budget.is_unlimited() && self.real_example_budget.is_none() && !muse_fault::armed()
+        });
+        let resumed = memo.and_then(|memo| memo.take_matching(mappings, answers));
+        let (mut progress, mut consumed, inputs) = match resumed {
+            Some(c) => {
+                self.metrics.incr("wizard.step_resumes");
+                (c.progress, c.answers, Some(c.mappings))
+            }
+            None => (Progress::default(), Vec::new(), None),
+        };
+        let start = consumed.len();
+        let hints = self.hints();
+        let wizards = self.wizards(&hints);
         let mut replay = StepDesigner {
             answers,
-            next: 0,
+            next: start,
             pending: None,
         };
-        match self.run(mappings, &mut replay) {
-            Ok(report) => {
-                if replay.next < answers.len() {
-                    return Err(WizardError::BadAnswer(format!(
-                        "session completed after {} answer(s) but {} were recorded",
-                        replay.next,
-                        answers.len()
-                    )));
-                }
-                Ok(Step::Done(Box::new(report)))
+        // Answers consumed when the current unit started.
+        let mut boundary = start;
+        let ended = loop {
+            match self.run_unit(&wizards, &mut progress, mappings, &mut replay) {
+                Ok(true) => boundary = replay.next,
+                Ok(false) => break Ok(()),
+                Err(e) => break Err(e),
             }
-            Err(WizardError::Suspended) => {
+        };
+        self.metrics
+            .add("wizard.step_replayed", (replay.next - start) as u64);
+        let stopped = match ended {
+            Ok(()) if replay.next < answers.len() => WizardError::BadAnswer(format!(
+                "session completed after {} answer(s) but {} were recorded",
+                replay.next,
+                answers.len()
+            )),
+            Ok(()) => return Ok(Step::Done(Box::new(progress.into_report()))),
+            Err(e) => e,
+        };
+        // A unit changes `progress` only when it completes, so here it is
+        // the state at `boundary`, whatever stopped the run.
+        if let Some(memo) = memo {
+            consumed.extend_from_slice(&answers[start..boundary]);
+            memo.put(Checkpoint {
+                mappings: inputs.unwrap_or_else(|| mappings.to_vec()),
+                answers: consumed,
+                progress,
+            });
+        }
+        match stopped {
+            WizardError::Suspended => {
                 let seq = replay.next;
                 let Some(question) = replay.pending.take() else {
                     return Err(WizardError::BadAnswer(
@@ -231,7 +348,7 @@ impl Session<'_> {
                     question: Box::new(question),
                 })
             }
-            Err(e) => Err(e),
+            e => Err(e),
         }
     }
 }
