@@ -10,7 +10,7 @@
 
 use std::time::{Duration, Instant};
 
-use muse_chase::{chase, chase_one, chase_with, isomorphic};
+use muse_chase::{chase, chase_one, isomorphic, ChaseReq};
 use muse_cliogen::{desired_grouping, GroupingStrategy};
 use muse_mapping::Grouping;
 use muse_obs::Metrics;
@@ -294,12 +294,15 @@ fn bench_metrics_overhead(h: &Harness) {
         ("obs/chase-metrics-enabled", &enabled),
     ] {
         h.bench(label, || {
-            chase_with(
+            ChaseReq {
+                metrics,
+                ..ChaseReq::default()
+            }
+            .run(
                 &mondial.source_schema,
                 &mondial.target_schema,
                 &instance,
                 &mappings,
-                metrics,
             )
             .unwrap()
         });

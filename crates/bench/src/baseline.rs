@@ -47,7 +47,7 @@ pub fn wants_json() -> bool {
 }
 
 /// The `--threads N` (or `--threads=N`) value passed to the binary, if any.
-pub fn explicit_threads_arg() -> Option<usize> {
+fn explicit_threads_arg() -> Option<usize> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut explicit = None;
     let mut it = args.iter();
@@ -402,14 +402,13 @@ pub fn synth_sweep_cell(cfg: &SynthCfg, scale: f64, seed: u64) -> Json {
         .time(|| s.instance(scale, seed));
     let mappings = chase_ready_mappings(&s);
     let target = metrics.timer("bench.chase_wall_time").time(|| {
-        muse_chase::chase_with(
-            &s.source_schema,
-            &s.target_schema,
-            &inst,
-            &mappings,
-            &metrics,
-        )
+        muse_chase::ChaseReq {
+            metrics: &metrics,
+            ..Default::default()
+        }
+        .run(&s.source_schema, &s.target_schema, &inst, &mappings)
         .expect("sweep chase")
+        .into_value()
     });
     let row = metrics
         .timer("bench.wizard_wall_time")

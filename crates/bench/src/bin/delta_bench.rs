@@ -2,8 +2,8 @@
 //! `chase.steps` a full Muse-G wizard pass (strategies G1–G3) spends from
 //! scratch vs routed through one shared [`muse_chase::DeltaStore`] — same
 //! rows, same transcripts, the saved steps reappear as `chase.rederived` —
-//! plus the serial-vs-parallel wall time of the store's canonical re-fire
-//! on the Mondial chase.
+//! next to each pass's wall-clock time and `chase.time` total, so a step
+//! win can be checked against the clock.
 //!
 //! Usage: `cargo run --release -p muse-bench --bin delta_bench [-- --json]
 //! [--threads N] [--only <scenario>]` (`MUSE_SCALE`/`MUSE_SEED` as usual;
@@ -12,9 +12,13 @@
 //! fewer chase steps on the Mondial pass). Step counts are measured
 //! exhaustively (real-example deadline disabled) so they are
 //! deterministic; the TPC-H row (combinatorial exhaustive QIe search)
-//! runs under the default deadline instead, marked `~`.
+//! runs under the default deadline instead, marked `~`. `--threads N`
+//! runs scenarios alongside each other, which skews their wall-clock
+//! columns; the default (`MUSE_THREADS` or 1) times them one at a time.
 
-use muse_bench::{baseline, chase_ready_mappings, env_scale, env_seed, fig5_cell_delta};
+use std::time::Instant;
+
+use muse_bench::{baseline, env_scale, env_seed, fig5_cell_delta};
 use muse_chase::DeltaStore;
 use muse_cliogen::GroupingStrategy;
 use muse_obs::{Json, Metrics};
@@ -22,12 +26,37 @@ use muse_par::scope_map;
 
 struct Row {
     scenario: String,
+    scratch: Pass,
+    incr: Pass,
     scratch_steps: u64,
     incr_steps: u64,
     rederived: u64,
     delta_hits: u64,
     fallbacks: u64,
     exhaustive: bool,
+}
+
+/// Wall-clock cost of one wizard pass: the whole pass and its `chase.time`
+/// total, in seconds.
+struct Pass {
+    wall_s: f64,
+    chase_s: f64,
+}
+
+impl Pass {
+    fn new(wall_s: f64, snap: &muse_obs::Snapshot) -> Self {
+        Pass {
+            wall_s,
+            chase_s: snap.timer("chase.time").total().as_secs_f64(),
+        }
+    }
+
+    fn json(&self) -> Json {
+        Json::obj(vec![
+            ("wall_seconds", Json::Num(self.wall_s)),
+            ("chase_time_seconds", Json::Num(self.chase_s)),
+        ])
+    }
 }
 
 /// One full wizard pass (all three strategies); returns the Fig. 5 row
@@ -64,10 +93,12 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     // Same determinism split as plan_bench: exhaustive QIe search
     // everywhere but TPC-H.
     let exhaustive = s.name != "TPCH";
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let scratch_metrics = Metrics::enabled();
     let scratch_rows = wizard_pass(s, scale, seed, exhaustive, None, &scratch_metrics);
-    let scratch_steps = scratch_metrics.snapshot().counter("chase.steps");
+    let scratch_snap = scratch_metrics.snapshot();
+    let scratch = Pass::new(t.elapsed().as_secs_f64(), &scratch_snap);
+    let scratch_steps = scratch_snap.counter("chase.steps");
     eprintln!(
         "  [{:>8.1}s] {}: scratch pass done ({scratch_steps} steps)",
         t.elapsed().as_secs_f64(),
@@ -75,8 +106,10 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     );
     let store = DeltaStore::new();
     let incr_metrics = Metrics::enabled();
+    let t_incr = Instant::now();
     let incr_rows = wizard_pass(s, scale, seed, exhaustive, Some(&store), &incr_metrics);
     let snap = incr_metrics.snapshot();
+    let incr = Pass::new(t_incr.elapsed().as_secs_f64(), &snap);
     let incr_steps = snap.counter("chase.steps");
     eprintln!(
         "  [{:>8.1}s] {}: incremental pass done ({incr_steps} steps)",
@@ -102,6 +135,8 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     }
     Row {
         scenario: s.name.clone(),
+        scratch,
+        incr,
         scratch_steps,
         incr_steps,
         rederived,
@@ -111,55 +146,26 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     }
 }
 
-/// Serial-vs-parallel re-fire: materialize the full Mondial chase in the
-/// store once per mapping, then time the pure-rederive second chase with 1
-/// thread vs `threads`. Wall-clock only — the instances are byte-identical
-/// by construction (the parallel merge preserves interning order).
-fn refire_timing(scale: f64, seed: u64, threads: usize) -> (f64, f64) {
-    let scenarios = muse_scenarios::all_scenarios();
-    let s = scenarios
-        .iter()
-        .find(|s| s.name == "Mondial")
-        .expect("Mondial scenario");
-    let inst = s.instance(s.default_scale * scale, seed);
-    let mappings = chase_ready_mappings(s);
-    let hints =
-        muse_query::SelectivityHints::from_constraints(&s.source_schema, &s.source_constraints);
-    let mut out = [0.0f64; 2];
-    for (i, t) in [1usize, threads].into_iter().enumerate() {
-        let store = DeltaStore::with_threads(t);
-        let metrics = Metrics::enabled();
-        let chase_all = |m: &Metrics| {
-            for mapping in &mappings {
-                store
-                    .chase_one(
-                        &s.source_schema,
-                        &s.target_schema,
-                        &inst,
-                        mapping,
-                        Some(&hints),
-                        muse_obs::Budget::unlimited_ref(),
-                        m,
-                    )
-                    .expect("chase");
-            }
-        };
-        chase_all(&metrics); // materialize
-        let t0 = std::time::Instant::now();
-        chase_all(&metrics); // pure rederive + re-fire
-        out[i] = t0.elapsed().as_secs_f64();
-    }
-    (out[0], out[1])
-}
-
 fn main() {
     let scale = env_scale();
     let seed = env_seed();
     let threads = baseline::arg_threads();
-    println!("Incremental chase payoff — scale factor {scale}, {threads} thread(s)");
+    let hw_threads = muse_par::available_parallelism();
     println!(
-        "{:<9} {:>14} {:>13} {:>7} {:>11} {:>6} {:>10}",
-        "Scenario", "steps(scratch)", "steps(incr)", "ratio", "rederived", "hits", "fallbacks"
+        "Incremental chase payoff — scale factor {scale}, {threads} thread(s), \
+         {hw_threads} hardware thread(s)"
+    );
+    println!(
+        "{:<9} {:>14} {:>13} {:>7} {:>11} {:>6} {:>10} {:>17} {:>17}",
+        "Scenario",
+        "steps(scratch)",
+        "steps(incr)",
+        "ratio",
+        "rederived",
+        "hits",
+        "fallbacks",
+        "wall/chase(scr)",
+        "wall/chase(incr)"
     );
     let mut scenarios = muse_scenarios::all_scenarios();
     let args: Vec<String> = std::env::args().collect();
@@ -177,7 +183,7 @@ fn main() {
         let ratio = r.scratch_steps as f64 / r.incr_steps.max(1) as f64;
         any_approx |= !r.exhaustive;
         println!(
-            "{:<9} {:>14} {:>13} {:>5.1}x{} {:>11} {:>6} {:>10}",
+            "{:<9} {:>14} {:>13} {:>5.1}x{} {:>11} {:>6} {:>10} {:>8.2}s/{:>6.3}s {:>8.2}s/{:>6.3}s",
             r.scenario,
             r.scratch_steps,
             r.incr_steps,
@@ -185,7 +191,11 @@ fn main() {
             if r.exhaustive { " " } else { "~" },
             r.rederived,
             r.delta_hits,
-            r.fallbacks
+            r.fallbacks,
+            r.scratch.wall_s,
+            r.scratch.chase_s,
+            r.incr.wall_s,
+            r.incr.chase_s
         );
         sections.push((
             r.scenario.clone(),
@@ -197,18 +207,14 @@ fn main() {
                 ("delta_hits", Json::Int(r.delta_hits as i64)),
                 ("delta_fallbacks", Json::Int(r.fallbacks as i64)),
                 ("exhaustive", Json::Bool(r.exhaustive)),
+                ("scratch_pass", r.scratch.json()),
+                ("incremental_pass", r.incr.json()),
             ]),
         ));
     }
     if any_approx {
         println!("(~ measured under the default real-example deadline; counts approximate)");
     }
-    let (serial_s, par_s) = refire_timing(scale, seed, threads);
-    let par_ratio = serial_s / par_s.max(1e-9);
-    println!(
-        "re-fire (Mondial chase, rederive pass): serial {serial_s:.3}s, \
-         {threads} thread(s) {par_s:.3}s ({par_ratio:.2}x)"
-    );
     if std::env::var("MUSE_GATE").is_ok() {
         let mondial = rows
             .iter()
@@ -234,19 +240,8 @@ fn main() {
                 ("scale", Json::Num(scale)),
                 ("seed", Json::Int(seed as i64)),
                 ("threads", Json::Int(threads as i64)),
-                (
-                    "hw_threads",
-                    Json::Int(muse_par::available_parallelism() as i64),
-                ),
+                ("hw_threads", Json::Int(hw_threads as i64)),
                 ("scenarios", Json::Obj(sections)),
-                (
-                    "refire",
-                    Json::obj(vec![
-                        ("serial_seconds", Json::Num(serial_s)),
-                        ("parallel_seconds", Json::Num(par_s)),
-                        ("speedup", Json::Num(par_ratio)),
-                    ]),
-                ),
             ]),
         );
     }

@@ -1,53 +1,28 @@
-//! Execution-governor and fault-injection bench.
+//! Execution-governor bench.
 //!
-//! Per scenario, chases the generated instance three ways:
+//! Per scenario, chases the generated instance two ways:
 //!
 //! 1. **unlimited** — the reference run; must not truncate,
 //! 2. **budgeted** — under a deliberately tight term cap, so every
-//!    scenario exercises the truncation path and the `budget.*` counters,
-//! 3. **faulted** — a parallel chase with a one-shot worker panic armed
-//!    (`chase.fire_unit:panic@1`); the panic-isolated pool must fall back
-//!    to a serial retry whose output fingerprints identically to run 1.
+//!    scenario exercises the truncation path and the `budget.*` counters.
 //!
 //! With `--json` the measurements are merged into `BENCH_baseline.json`
-//! as the `governor` section: per-scenario truncation reasons, the
-//! `budget.*` counters, and the `fault.*` stats (`planned`, `fired`,
-//! `injected`, per-point hit counts) plus `chase.par_fallbacks` /
-//! `par.panics` proving the fallback happened.
+//! as the `governor` section: per-scenario truncation reasons and the
+//! `budget.*` counters.
 //!
-//! Usage: `cargo run --release -p muse-bench --bin governor [-- --json]
-//! [--threads N]` (`MUSE_SCALE`/`MUSE_SEED` adjust instance generation;
-//! `MUSE_FAULTS` arms an *additional* environment plan for the whole run,
-//! like the CLI).
+//! Usage: `cargo run --release -p muse-bench --bin governor [-- --json]`
+//! (`MUSE_SCALE`/`MUSE_SEED` adjust instance generation; `MUSE_FAULTS`
+//! arms a fault plan for the whole run, like the CLI).
 
 use std::time::Instant;
 
 use muse_bench::{baseline, chase_ready_mappings, env_scale, env_seed};
-use muse_chase::{chase_budget_with, chase_par_budget_with, fingerprint};
-use muse_fault::{arm_scoped, parse_spec};
+use muse_chase::ChaseReq;
 use muse_obs::{Budget, Json, Metrics};
 
 /// Term cap for the budgeted run: small enough that every bench scenario
 /// truncates at the default scale, large enough to do real work first.
 const TIGHT_TERM_CAP: u64 = 200;
-
-fn fault_stats_json(stats: &muse_fault::FaultStats) -> Json {
-    Json::obj(vec![
-        ("planned", Json::Int(stats.planned as i64)),
-        ("fired", Json::Int(stats.fired as i64)),
-        ("injected", Json::Int(stats.injected as i64)),
-        (
-            "hits",
-            Json::Obj(
-                stats
-                    .hits
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Int(*v as i64)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
 
 fn main() {
     if let Err(e) = muse_fault::arm_from_env() {
@@ -56,12 +31,11 @@ fn main() {
     }
     let scale = env_scale();
     let seed = env_seed();
-    let threads = muse_par::resolve_threads(baseline::explicit_threads_arg().or(Some(4)));
 
-    println!("Execution governor — scale {scale}, seed {seed}, {threads} worker thread(s)");
+    println!("Execution governor — scale {scale}, seed {seed}");
     println!(
-        "{:<10} {:>12} {:>10} {:>12} {:>10} {:>9}",
-        "scenario", "full tuples", "truncated", "part tuples", "fallback", "time"
+        "{:<10} {:>12} {:>10} {:>12} {:>9}",
+        "scenario", "full tuples", "truncated", "part tuples", "time"
     );
 
     let mut scenarios_json = Vec::new();
@@ -71,31 +45,22 @@ fn main() {
 
         // 1. Unlimited reference run.
         let t0 = Instant::now();
-        let full = chase_budget_with(
-            &s.source_schema,
-            &s.target_schema,
-            &source,
-            &mappings,
-            Budget::unlimited_ref(),
-            &Metrics::disabled(),
-        )
-        .expect("unlimited chase");
+        let full = ChaseReq::default()
+            .run(&s.source_schema, &s.target_schema, &source, &mappings)
+            .expect("unlimited chase");
         let full_s = t0.elapsed().as_secs_f64();
         assert!(full.is_complete(), "{}: unlimited run truncated", s.name);
-        let full_target = full.into_value();
-        let full_tuples = full_target.total_tuples();
+        let full_tuples = full.value().total_tuples();
 
         // 2. Budgeted run under a tight term cap.
         let budget_metrics = Metrics::enabled();
         let budget = Budget::unlimited().with_max_terms(TIGHT_TERM_CAP);
-        let outcome = chase_budget_with(
-            &s.source_schema,
-            &s.target_schema,
-            &source,
-            &mappings,
-            &budget,
-            &budget_metrics,
-        )
+        let outcome = ChaseReq {
+            metrics: &budget_metrics,
+            budget: &budget,
+            ..ChaseReq::default()
+        }
+        .run(&s.source_schema, &s.target_schema, &source, &mappings)
         .expect("budgeted chase");
         let (partial, reason) = outcome.into_parts();
         partial
@@ -103,39 +68,12 @@ fn main() {
             .expect("truncated instance stays valid");
         let partial_tuples = partial.total_tuples();
 
-        // 3. Fault-armed parallel chase: one-shot worker panic, serial
-        // fallback must reproduce the unlimited run exactly.
-        let fault_metrics = Metrics::enabled();
-        let guard = arm_scoped(parse_spec("chase.fire_unit:panic@1").expect("static spec"));
-        let faulted = chase_par_budget_with(
-            &s.source_schema,
-            &s.target_schema,
-            &source,
-            &mappings,
-            threads,
-            Budget::unlimited_ref(),
-            &fault_metrics,
-        )
-        .expect("faulted par chase");
-        let stats = muse_fault::stats().expect("plan armed");
-        drop(guard);
-        assert!(faulted.is_complete(), "{}: fallback truncated", s.name);
-        assert_eq!(
-            fingerprint(faulted.value()),
-            fingerprint(&full_target),
-            "{}: serial fallback diverged from the reference chase",
-            s.name
-        );
-        let fault_snap = fault_metrics.snapshot();
-        let fallbacks = fault_snap.counter("chase.par_fallbacks");
-
         println!(
-            "{:<10} {:>12} {:>10} {:>12} {:>10} {:>8.3}s",
+            "{:<10} {:>12} {:>10} {:>12} {:>8.3}s",
             s.name,
             full_tuples,
             reason.map(|r| r.metric_key()).unwrap_or("no"),
             partial_tuples,
-            fallbacks,
             full_s
         );
 
@@ -154,8 +92,6 @@ fn main() {
                 ),
                 ("partial_tuples", Json::Int(partial_tuples as i64)),
                 ("budget_metrics", budget_metrics.snapshot().to_json()),
-                ("fault", fault_stats_json(&stats)),
-                ("fault_metrics", fault_snap.to_json()),
             ]),
         ));
     }
@@ -166,7 +102,6 @@ fn main() {
             Json::obj(vec![
                 ("scale", Json::Num(scale)),
                 ("seed", Json::Int(seed as i64)),
-                ("threads", Json::Int(threads as i64)),
                 ("tight_term_cap", Json::Int(TIGHT_TERM_CAP as i64)),
                 ("scenarios", Json::Obj(scenarios_json)),
             ]),

@@ -77,15 +77,12 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     let metrics = Metrics::enabled();
     let hints =
         muse_query::SelectivityHints::from_constraints(&s.source_schema, &s.source_constraints);
-    muse_chase::chase_budget_planned_with(
-        &s.source_schema,
-        &s.target_schema,
-        &inst,
-        &mappings,
-        Some(&hints),
-        muse_obs::Budget::unlimited_ref(),
-        &metrics,
-    )
+    muse_chase::ChaseReq {
+        metrics: &metrics,
+        hints: Some(&hints),
+        ..Default::default()
+    }
+    .run(&s.source_schema, &s.target_schema, &inst, &mappings)
     .expect("chase");
     let chase_steps = metrics.snapshot().counter("chase.steps");
     let sizes = muse_lint::termination::path_sizes(&s.source_schema, &inst);

@@ -42,10 +42,11 @@
 //! count exactly. `chase.tuples_emitted` / `chase.dedup_hits` are recorded
 //! by the shared firing path and come out identical.
 //!
-//! Fallback rules — the incremental path must be *indistinguishable* from
-//! the scratch chase, so [`DeltaStore::chase_one`] transparently degrades
-//! to [`chase_one_budget_planned_with`] (`chase.delta_fallbacks`) whenever
-//! byte-identity could not be argued locally:
+//! The store is reached through [`ChaseReq::delta`]. Fallback rules — the
+//! incremental path must be *indistinguishable* from the scratch chase, so
+//! [`ChaseReq::run`] transparently takes the scratch path
+//! (`chase.delta_fallbacks`) whenever byte-identity could not be argued
+//! locally:
 //!
 //! * the budget is limited (truncation points depend on global step order),
 //! * a fault plan is armed (fault points fire at scratch-chase sites),
@@ -54,12 +55,9 @@
 //!   ids, so value diffs across instances would be unsound),
 //! * a predicate constant is non-atomic, or
 //! * the mapping set is empty / the chase is multi-mapping (the engine
-//!   interleaves term interning across mappings).
-//!
-//! Parallelism: the re-fire reuses the parallel chase's unit discipline —
-//! contiguous binding chunks fired into private instances, then merged
-//! serially in unit order, which replays the serial interning order — so
-//! `threads > 1` keeps byte-identity (see [`engine`] phase 3/4 docs).
+//!   interleaves term interning across mappings), or
+//! * the evaluator's emission order disagrees with the canonical order
+//!   (`chase.delta_order_mismatch`; never observed, checked anyway).
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
@@ -67,19 +65,11 @@ use std::sync::Mutex;
 use muse_mapping::Mapping;
 use muse_nr::{Atom, Instance, Schema, Tuple, Value};
 use muse_obs::json::Json;
-use muse_obs::{Budget, Counter, Metrics, Outcome};
-use muse_par::{chunks, try_scope_map};
+use muse_obs::{Metrics, Outcome};
 use muse_query::{greedy_order, Operand, Query};
 
-use muse_query::SelectivityHints;
-
-use crate::chase_one_budget_planned_with;
-use crate::engine::{self, Emit, Prepared};
+use crate::engine::{self, ChaseReq, Emit, Prepared};
 use crate::error::ChaseError;
-
-/// Bindings below this count always re-fire serially: thread spawn plus
-/// merge bookkeeping dwarfs firing a handful of tuples.
-const PAR_REFIRE_MIN: usize = 256;
 
 /// Materialized states retained per query key, most-recently-used last.
 /// The wizard revisits earlier examples wholesale (a later strategy pass
@@ -243,14 +233,12 @@ fn to_var_order(greedy: &[usize], b: &[Tuple]) -> Vec<Tuple> {
 /// results). Cheap to create; `Mutex`-protected so `serve` can hang one off
 /// a session entry shared across request threads.
 pub struct DeltaStore {
-    threads: usize,
     inner: Mutex<HashMap<String, Vec<MappingState>>>,
 }
 
 impl std::fmt::Debug for DeltaStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DeltaStore")
-            .field("threads", &self.threads)
             .field("entries", &self.len())
             .finish()
     }
@@ -263,16 +251,9 @@ impl Default for DeltaStore {
 }
 
 impl DeltaStore {
-    /// Empty store; re-fires serially.
+    /// Empty store.
     pub fn new() -> Self {
-        DeltaStore::with_threads(1)
-    }
-
-    /// Empty store whose re-fires may use up to `threads` workers (byte
-    /// identity is preserved — see the module docs on the merge order).
-    pub fn with_threads(threads: usize) -> Self {
         DeltaStore {
-            threads: threads.max(1),
             inner: Mutex::new(HashMap::new()),
         }
     }
@@ -291,47 +272,27 @@ impl DeltaStore {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Incremental [`chase_one_budget_planned_with`]: byte-identical output
-    /// and `Outcome` under every input, with the work answered from the
-    /// materialized state when the eligibility rules (module docs) hold and
-    /// from the scratch chase otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn chase_one(
+    /// The incremental one-mapping chase behind [`ChaseReq::run`]:
+    /// `Some(target)` byte-identical to the scratch chase's complete
+    /// outcome when the eligibility rules (module docs) hold, `None` when
+    /// the request must take the scratch path instead.
+    pub(crate) fn chase_one(
         &self,
+        req: &ChaseReq<'_>,
         source_schema: &Schema,
         target_schema: &Schema,
         source: &Instance,
         mapping: &Mapping,
-        hints: Option<&SelectivityHints>,
-        budget: &Budget,
-        metrics: &Metrics,
-    ) -> Result<Outcome<Instance>, ChaseError> {
-        if !budget.is_unlimited() || muse_fault::armed() {
-            metrics.incr("chase.delta_fallbacks");
-            return chase_one_budget_planned_with(
-                source_schema,
-                target_schema,
-                source,
-                mapping,
-                hints,
-                budget,
-                metrics,
-            );
+    ) -> Result<Option<Instance>, ChaseError> {
+        let metrics = req.metrics;
+        if !req.budget.is_unlimited() || muse_fault::armed() {
+            return Ok(None);
         }
         let q = mapping.source_query();
         let (Some(compiled), Some(cur)) =
             (Compiled::resolve(source_schema, &q), atom_sets(source, &q))
         else {
-            metrics.incr("chase.delta_fallbacks");
-            return chase_one_budget_planned_with(
-                source_schema,
-                target_schema,
-                source,
-                mapping,
-                hints,
-                budget,
-                metrics,
-            );
+            return Ok(None);
         };
 
         let timer = metrics.timer("chase.time");
@@ -350,60 +311,42 @@ impl DeltaStore {
         let exact = states
             .iter()
             .position(|s| compatible(s) && s.snapshot == cur);
-        match exact {
+        let state = match exact {
             Some(i) => {
                 metrics.incr("chase.delta_hits");
                 let mut s = states.remove(i);
                 Self::apply_delta(&mut s, &compiled, cur, metrics);
-                states.push(s);
+                s
             }
             None => match states.iter().rposition(compatible) {
                 Some(i) => {
                     metrics.incr("chase.delta_hits");
                     let mut s = states[i].clone();
                     Self::apply_delta(&mut s, &compiled, cur, metrics);
-                    states.push(s);
+                    s
                 }
                 None => {
                     metrics.incr("chase.delta_misses");
-                    match Self::materialize(
-                        source_schema,
-                        source,
-                        &q,
-                        &compiled,
-                        cur,
-                        hints,
-                        budget,
-                        metrics,
-                    )? {
-                        Some(s) => states.push(s),
-                        None => {
-                            // Evaluator order disagreed with the canonical
-                            // order (never observed; belt and braces) or
-                            // the evaluation was truncated — stay on the
-                            // scratch path.
-                            drop(inner);
-                            metrics.incr("chase.delta_fallbacks");
-                            return chase_one_budget_planned_with(
-                                source_schema,
-                                target_schema,
-                                source,
-                                mapping,
-                                hints,
-                                budget,
-                                metrics,
-                            );
-                        }
+                    let materialized =
+                        Self::materialize(req, source_schema, source, &q, &compiled, cur)?;
+                    match materialized {
+                        Some(s) => s,
+                        // Evaluator order disagreed with the canonical order
+                        // (never observed; belt and braces) or the evaluation
+                        // was truncated — stay on the scratch path.
+                        None => return Ok(None),
                     }
                 }
             },
-        }
-        while states.len() > STATES_PER_KEY {
+        };
+        // Evict before re-firing, so at most STATES_PER_KEY states are
+        // alive while the target is built.
+        while states.len() >= STATES_PER_KEY {
             states.remove(0);
         }
-        let state = states.last().expect("present after hit or insert");
-        let target = self.refire(target_schema, &prepared, state, metrics)?;
-        Ok(Outcome::Complete(target))
+        let target = Self::refire(target_schema, &prepared, &state, metrics);
+        states.push(state);
+        target.map(Some)
     }
 
     /// First sight of a query: enumerate its bindings with the real
@@ -411,24 +354,22 @@ impl DeltaStore {
     /// to a scratch chase — and check, while arranging them into the
     /// canonical set, that the emission order matches the greedy-rank sort
     /// the delta path will later rely on.
-    #[allow(clippy::too_many_arguments)]
     fn materialize(
+        req: &ChaseReq<'_>,
         source_schema: &Schema,
         source: &Instance,
         q: &Query,
         compiled: &Compiled,
         cur: Vec<BTreeSet<Tuple>>,
-        hints: Option<&SelectivityHints>,
-        budget: &Budget,
-        metrics: &Metrics,
     ) -> Result<Option<MappingState>, ChaseError> {
-        let plan = engine::mapping_plan(source_schema, q, hints);
+        let metrics = req.metrics;
+        let plan = engine::mapping_plan(source_schema, q, req.hints);
         let bindings = match muse_query::evaluate_all_planned_with(
             source_schema,
             source,
             q,
             plan.as_ref(),
-            budget,
+            req.budget,
             metrics,
         )? {
             Outcome::Complete(b) => b,
@@ -559,67 +500,18 @@ impl DeltaStore {
     /// come out identical to the scratch chase; `chase.rederived` replaces
     /// the `chase.steps` the replayed bindings would have cost.
     fn refire(
-        &self,
         target_schema: &Schema,
         prepared: &Prepared<'_>,
         state: &MappingState,
         metrics: &Metrics,
     ) -> Result<Instance, ChaseError> {
-        let emit = Emit {
-            emitted: metrics.counter("chase.tuples_emitted"),
-            dedup_hits: metrics.counter("chase.dedup_hits"),
-        };
-        if self.threads > 1 && state.live.len() >= PAR_REFIRE_MIN {
-            if let Some(target) = self.refire_par(target_schema, prepared, state, metrics, &emit)? {
-                return Ok(target);
-            }
-            // A worker panicked: degrade to the serial re-fire.
-            metrics.incr("chase.par_fallbacks");
-        }
+        let emit = Emit::new(metrics);
         let mut target = Instance::new(target_schema);
         for b in &state.live {
             let row = to_var_order(&state.greedy, b);
             engine::fire(prepared, &mut target, &row, &emit)?;
         }
         Ok(target)
-    }
-
-    /// Parallel re-fire: the parallel chase's phase 3/4 discipline (private
-    /// per-unit instances, serial merge in unit order) over the live set.
-    fn refire_par(
-        &self,
-        target_schema: &Schema,
-        prepared: &Prepared<'_>,
-        state: &MappingState,
-        metrics: &Metrics,
-        emit: &Emit,
-    ) -> Result<Option<Instance>, ChaseError> {
-        let rows: Vec<Vec<Tuple>> = state
-            .live
-            .iter()
-            .map(|b| to_var_order(&state.greedy, b))
-            .collect();
-        let units = chunks(rows.len(), self.threads);
-        let partials = try_scope_map(units.len(), self.threads, metrics, |u| {
-            let mut partial = Instance::new(target_schema);
-            let unit_emit = Emit {
-                emitted: Counter::default(),
-                dedup_hits: emit.dedup_hits.clone(),
-            };
-            for row in &rows[units[u].clone()] {
-                engine::fire(prepared, &mut partial, row, &unit_emit)?;
-            }
-            Ok::<Instance, ChaseError>(partial)
-        });
-        let mut target = Instance::new(target_schema);
-        for p in partials {
-            match p {
-                Err(_panic) => return Ok(None),
-                Ok(Err(e)) => return Err(e),
-                Ok(Ok(partial)) => engine::merge_into(&mut target, &partial, emit),
-            }
-        }
-        Ok(Some(target))
     }
 
     /// Serialize the materialized state (atoms only, by construction) for

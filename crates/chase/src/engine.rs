@@ -2,6 +2,12 @@
 //! `exists` clause, group nested sets through their Skolem functions, and
 //! union the results (set semantics).
 //!
+//! There is one serial engine and one entry point. [`chase`] and
+//! [`chase_one`] are the plain forms; everything else — metrics, a budget,
+//! planner hints, an incremental [`DeltaStore`] — is a field of a
+//! [`ChaseReq`], whose [`ChaseReq::run`] every governed caller goes
+//! through.
+//!
 //! Instrumentation (all behind [`Metrics`], zero-cost when disabled):
 //!
 //! * `chase.mappings` — mappings chased,
@@ -11,45 +17,20 @@
 //!   caps from above),
 //! * `chase.tuples_emitted` — tuples actually added to the target,
 //! * `chase.dedup_hits` — tuple insertions the target union deduplicated,
-//! * `chase.time` — wall-clock spans per chased mapping (serial path),
-//! * `chase.par_time` — wall-clock spans per parallel chase call,
-//! * `chase.par_fallbacks` — parallel calls that degraded to the serial
-//!   path (a worker panicked or the budget tripped mid-flight),
+//! * `chase.time` — wall-clock spans per chased mapping,
+//! * `chase.delta_fallbacks` — requests carrying a [`DeltaStore`] that took
+//!   the scratch path (see [`crate::delta`] for the rules),
 //! * `budget.*` — truncations recorded when a governed chase stops early
 //!   (see [`muse_obs::budget`]).
-//!
-//! # Parallel chase
-//!
-//! [`chase_par`] partitions the work of one chase call across a scoped
-//! worker pool ([`muse_par::scope_map`]) and still produces *exactly* the
-//! serial result — same SetIDs, same labeled nulls, same rendering:
-//!
-//! 1. every mapping is prepared (classes, plans, slots) and its source
-//!    bindings enumerated, in parallel across mappings;
-//! 2. each mapping's bindings are cut into contiguous chunks, forming a
-//!    mapping-major list of *units* that concatenates back to the serial
-//!    firing order;
-//! 3. each unit fires into its own private [`Instance`] with its own
-//!    [`muse_nr::TermStore`] — per-worker SetID/null allocation ranges, so
-//!    workers never share a lock or an id counter;
-//! 4. the partial instances are merged serially *in unit order*,
-//!    re-interning each partial store's terms in ascending local-id order.
-//!
-//! Step 4 is what makes the result byte-identical to the serial chase: a
-//! partial store's local-id order is its first-use order, and unit order is
-//! serial binding order, so re-interning walks terms in exactly the order
-//! the serial chase first created them.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use muse_mapping::{Mapping, PathRef, WhereClause};
-use muse_nr::{Instance, NullId, Schema, SetId, SetPath, Tuple, Value};
+use muse_nr::{Instance, Schema, SetPath, Tuple, Value};
 use muse_obs::{faultpoints, Budget, Counter, Metrics, Outcome, TruncationReason};
-use muse_par::{chunks, try_scope_map};
-use muse_query::{evaluate_all_planned_with, plan_query, Binding, EvalPlan, SelectivityHints};
+use muse_query::{evaluate_all_planned_with, plan_query, EvalPlan, SelectivityHints};
 
+use crate::delta::DeltaStore;
 use crate::error::ChaseError;
 
 /// Translate a non-panic injected fault into the budget-truncation path
@@ -93,103 +74,27 @@ pub fn chase(
     source: &Instance,
     mappings: &[Mapping],
 ) -> Result<Instance, ChaseError> {
-    chase_with(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        &Metrics::disabled(),
-    )
-}
-
-/// Like [`chase`], reporting counters and timings through `metrics` (see the
-/// module docs for the emitted keys). Runs under the unlimited budget, so it
-/// only truncates when a fault plan injects a fault — in which case the
-/// (valid) partial result is returned as-is.
-pub fn chase_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    metrics: &Metrics,
-) -> Result<Instance, ChaseError> {
-    chase_budget_with(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        Budget::unlimited_ref(),
-        metrics,
-    )
-    .map(Outcome::into_value)
-}
-
-/// The governed chase: like [`chase_with`] but bounded by `budget` — the
-/// wall-clock deadline and chase-step cap are checked in the binding loop,
-/// the interned-term cap after every firing, and the query evaluations
-/// enumerate bindings under the same budget. On exhaustion the chase stops
-/// cleanly and returns the target built so far as
-/// [`Outcome::Truncated`] — always a valid (validating) instance, just an
-/// incomplete one. Truncations are recorded under `budget.*`.
-pub fn chase_budget_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Instance>, ChaseError> {
-    chase_budget_planned_with(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        None,
-        budget,
-        metrics,
-    )
-}
-
-/// Plan-driven [`chase_budget_with`]: when `hints` is given, every
-/// mapping's `for`-clause enumeration runs under a static
-/// [`EvalPlan`] derived from the source constraints (key-aware join order
-/// and composite hash probes — identical bindings, identical target, far
-/// fewer `query.steps`; see [`muse_query::plan`]).
-pub fn chase_budget_planned_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    hints: Option<&SelectivityHints>,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Instance>, ChaseError> {
-    let mut target = Instance::new(target_schema);
-    let timer = metrics.timer("chase.time");
-    let mut steps: u64 = 0;
-    for m in mappings {
-        let _span = timer.start();
-        if let Some(reason) = chase_into(
-            source_schema,
-            target_schema,
-            source,
-            m,
-            hints,
-            &mut target,
-            &mut steps,
-            budget,
-            metrics,
-        )? {
-            return Ok(Outcome::Truncated {
-                partial: target,
-                reason,
-            });
-        }
-    }
-    Ok(Outcome::Complete(target))
+    ChaseReq::default()
+        .run(source_schema, target_schema, source, mappings)
+        .map(Outcome::into_value)
 }
 
 /// Chase with a single mapping.
+///
+/// ```
+/// use muse_nr::{text::parse_schema, InstanceBuilder, Value};
+///
+/// let (src, _) = parse_schema("schema S\n A: set of { x: string }").unwrap();
+/// let (tgt, _) = parse_schema("schema T\n B: set of { y: string }").unwrap();
+/// let m = muse_mapping::parse_one("m: for a in S.A exists b in T.B where a.x = b.y").unwrap();
+/// let mut builder = InstanceBuilder::new(&src);
+/// builder.push_top("A", vec![Value::str("a")]);
+/// builder.push_top("A", vec![Value::str("b")]);
+/// let source = builder.finish().unwrap();
+///
+/// let solution = muse_chase::chase_one(&src, &tgt, &source, &m).unwrap();
+/// assert_eq!(solution.total_tuples(), 2);
+/// ```
 pub fn chase_one(
     source_schema: &Schema,
     target_schema: &Schema,
@@ -204,192 +109,173 @@ pub fn chase_one(
     )
 }
 
-/// Chase with a single mapping, reporting through `metrics`.
-pub fn chase_one_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mapping: &Mapping,
-    metrics: &Metrics,
-) -> Result<Instance, ChaseError> {
-    chase_with(
-        source_schema,
-        target_schema,
-        source,
-        std::slice::from_ref(mapping),
-        metrics,
-    )
+/// One chase request: how to chase, separate from what to chase. The
+/// default is the plain [`chase`] — disabled metrics, unlimited budget, no
+/// hints, no store — and callers override fields with struct-update
+/// syntax:
+///
+/// ```
+/// use muse_chase::ChaseReq;
+/// use muse_nr::{text::parse_schema, InstanceBuilder, Value};
+/// use muse_obs::{Budget, Metrics, TruncationReason};
+///
+/// let (src, _) = parse_schema("schema S\n A: set of { x: string }").unwrap();
+/// let (tgt, _) = parse_schema("schema T\n B: set of { y: string }").unwrap();
+/// let m = muse_mapping::parse_one("m: for a in S.A exists b in T.B where a.x = b.y").unwrap();
+/// let mut builder = InstanceBuilder::new(&src);
+/// builder.push_top("A", vec![Value::str("a")]);
+/// builder.push_top("A", vec![Value::str("b")]);
+/// let source = builder.finish().unwrap();
+///
+/// let metrics = Metrics::enabled();
+/// let budget = Budget::unlimited().with_max_chase_steps(1);
+/// let req = ChaseReq { metrics: &metrics, budget: &budget, ..ChaseReq::default() };
+/// let out = req.run(&src, &tgt, &source, &[m]).unwrap();
+/// assert_eq!(out.reason(), Some(TruncationReason::ChaseStepLimit));
+/// assert_eq!(out.value().total_tuples(), 1);
+/// assert_eq!(metrics.snapshot().counter("budget.step_limit_hits"), 1);
+/// ```
+#[derive(Clone, Copy)]
+pub struct ChaseReq<'a> {
+    /// Counters and timers (see the module docs for the keys).
+    pub metrics: &'a Metrics,
+    /// Governs the chase: the wall-clock deadline and chase-step cap are
+    /// checked in the binding loop, the interned-term cap after every
+    /// firing, and the `for`-clause evaluations run under the same budget.
+    /// On exhaustion the chase stops cleanly and returns the target built
+    /// so far as [`Outcome::Truncated`] — always a valid (validating)
+    /// instance, just an incomplete one. Truncations are recorded under
+    /// `budget.*`.
+    pub budget: &'a Budget,
+    /// Source selectivity hints: when given, every mapping's `for`-clause
+    /// enumeration runs under a static [`EvalPlan`] (key-aware join order
+    /// and composite hash probes — identical bindings, identical target,
+    /// far fewer `query.steps`; see [`muse_query::plan`]).
+    pub hints: Option<&'a SelectivityHints>,
+    /// Incremental-chase state: a one-mapping request is answered from the
+    /// store when its eligibility rules hold ([`crate::delta`]); any other
+    /// request takes the scratch path and counts `chase.delta_fallbacks`.
+    /// The output is byte-identical either way.
+    pub delta: Option<&'a DeltaStore>,
 }
 
-/// Governed single-mapping chase (the wizards' probe path).
-pub fn chase_one_budget_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mapping: &Mapping,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Instance>, ChaseError> {
-    chase_budget_with(
-        source_schema,
-        target_schema,
-        source,
-        std::slice::from_ref(mapping),
-        budget,
-        metrics,
-    )
-}
-
-/// Plan-driven [`chase_one_budget_with`] (see
-/// [`chase_budget_planned_with`]).
-pub fn chase_one_budget_planned_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mapping: &Mapping,
-    hints: Option<&SelectivityHints>,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Instance>, ChaseError> {
-    chase_budget_planned_with(
-        source_schema,
-        target_schema,
-        source,
-        std::slice::from_ref(mapping),
-        hints,
-        budget,
-        metrics,
-    )
-}
-
-/// Like [`chase`], but with the work partitioned across `threads` scoped
-/// worker threads. Produces exactly the serial result (see the module docs
-/// for the partitioning and merge scheme). `threads <= 1` falls back to the
-/// serial [`chase_with`] path.
-pub fn chase_par(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    threads: usize,
-) -> Result<Instance, ChaseError> {
-    chase_par_with(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        threads,
-        &Metrics::disabled(),
-    )
-}
-
-/// Like [`chase_par`], reporting through `metrics`: the serial-chase keys
-/// plus `chase.par_time` and the pool's `par.*` keys. Runs under the
-/// unlimited budget; see [`chase_par_budget_with`] for the degradation
-/// contract.
-pub fn chase_par_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    threads: usize,
-    metrics: &Metrics,
-) -> Result<Instance, ChaseError> {
-    chase_par_budget_with(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        threads,
-        Budget::unlimited_ref(),
-        metrics,
-    )
-    .map(Outcome::into_value)
-}
-
-/// The governed parallel chase. The fast path runs the 4-phase parallel
-/// scheme; if any worker unit *panics* (caught by the pool's isolation
-/// wrapper, counted under `par.panics`) or any phase trips the budget, the
-/// partial parallel state is discarded and the whole call retries once as
-/// the serial [`chase_budget_with`] — so the output, complete or
-/// truncated, is always byte-identical to the serial chase's. Fallbacks
-/// are counted under `chase.par_fallbacks`.
-pub fn chase_par_budget_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    threads: usize,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Instance>, ChaseError> {
-    chase_par_budget_planned_with(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        None,
-        threads,
-        budget,
-        metrics,
-    )
-}
-
-/// Plan-driven [`chase_par_budget_with`] (see
-/// [`chase_budget_planned_with`]). The hints only steer phase-1 binding
-/// enumeration; the serial fallback chases under the same hints, so the
-/// parallel/serial equivalence guarantee is unchanged.
-#[allow(clippy::too_many_arguments)]
-pub fn chase_par_budget_planned_with(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    hints: Option<&SelectivityHints>,
-    threads: usize,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Instance>, ChaseError> {
-    if threads <= 1 {
-        return chase_budget_planned_with(
-            source_schema,
-            target_schema,
-            source,
-            mappings,
-            hints,
-            budget,
-            metrics,
-        );
+impl Default for ChaseReq<'_> {
+    fn default() -> Self {
+        ChaseReq {
+            metrics: Metrics::disabled_ref(),
+            budget: Budget::unlimited_ref(),
+            hints: None,
+            delta: None,
+        }
     }
-    let timer = metrics.timer("chase.par_time");
-    let _span = timer.start();
-    match chase_par_attempt(
-        source_schema,
-        target_schema,
-        source,
-        mappings,
-        hints,
-        threads,
-        budget,
-        metrics,
-    )? {
-        Some(target) => Ok(Outcome::Complete(target)),
-        None => {
-            // A unit panicked or the budget tripped mid-flight: discard the
-            // parallel partials and retry once, serially — the serial path
-            // truncates deterministically, so the degraded result is exactly
-            // what a serial caller would have seen.
-            metrics.incr("chase.par_fallbacks");
-            chase_budget_planned_with(
+}
+
+impl ChaseReq<'_> {
+    /// Chase `source` with `mappings` under this request. Without a budget
+    /// limit (or an injected fault) the outcome is always
+    /// [`Outcome::Complete`].
+    pub fn run(
+        &self,
+        source_schema: &Schema,
+        target_schema: &Schema,
+        source: &Instance,
+        mappings: &[Mapping],
+    ) -> Result<Outcome<Instance>, ChaseError> {
+        if let Some(store) = self.delta {
+            if let [mapping] = mappings {
+                if let Some(target) =
+                    store.chase_one(self, source_schema, target_schema, source, mapping)?
+                {
+                    return Ok(Outcome::Complete(target));
+                }
+            }
+            self.metrics.incr("chase.delta_fallbacks");
+        }
+        let mut target = Instance::new(target_schema);
+        let timer = self.metrics.timer("chase.time");
+        let mut steps: u64 = 0;
+        for m in mappings {
+            let _span = timer.start();
+            if let Some(reason) = self.chase_into(
                 source_schema,
                 target_schema,
                 source,
-                mappings,
-                hints,
-                budget,
-                metrics,
-            )
+                m,
+                &mut target,
+                &mut steps,
+            )? {
+                return Ok(Outcome::Truncated {
+                    partial: target,
+                    reason,
+                });
+            }
         }
+        Ok(Outcome::Complete(target))
+    }
+
+    /// Chase one mapping into `target`. Returns the truncation reason when
+    /// the budget (or an injected fault) cut the work short — `target` then
+    /// holds everything fired so far, still a valid instance. `steps` is
+    /// the cross-mapping firing counter the step cap applies to.
+    fn chase_into(
+        &self,
+        source_schema: &Schema,
+        target_schema: &Schema,
+        source: &Instance,
+        m: &Mapping,
+        target: &mut Instance,
+        steps: &mut u64,
+    ) -> Result<Option<TruncationReason>, ChaseError> {
+        let ChaseReq {
+            metrics, budget, ..
+        } = *self;
+        let p = prepare(source_schema, target_schema, m, metrics)?;
+        let q = m.source_query();
+        let plan = mapping_plan(source_schema, &q, self.hints);
+        let bindings = match evaluate_all_planned_with(
+            source_schema,
+            source,
+            &q,
+            plan.as_ref(),
+            budget,
+            metrics,
+        )? {
+            Outcome::Complete(b) => b,
+            // The enumeration itself was cut short (already recorded by the
+            // query layer); firing a truncated binding set would produce an
+            // unpredictable prefix, so stop before firing.
+            Outcome::Truncated { reason, .. } => return Ok(Some(reason)),
+        };
+        metrics.add("chase.bindings", bindings.len() as u64);
+        metrics.add("chase.steps", bindings.len() as u64);
+        let emit = Emit::new(metrics);
+        let check_terms = budget.max_terms.is_some();
+        for binding in &bindings {
+            if let Some(f) = muse_fault::point(faultpoints::CHASE_BINDING) {
+                let reason = fault_reason(f);
+                reason.record(metrics);
+                return Ok(Some(reason));
+            }
+            *steps += 1;
+            if budget.steps_exhausted(*steps) {
+                let reason = TruncationReason::ChaseStepLimit;
+                reason.record(metrics);
+                return Ok(Some(reason));
+            }
+            // The deadline check reads the clock — amortize it over firings.
+            if steps.is_multiple_of(64) && budget.deadline_expired() {
+                let reason = TruncationReason::DeadlineExpired;
+                reason.record(metrics);
+                return Ok(Some(reason));
+            }
+            fire(&p, target, binding, &emit)?;
+            if check_terms && budget.terms_exhausted(term_count(target)) {
+                let reason = TruncationReason::TermLimit;
+                reason.record(metrics);
+                return Ok(Some(reason));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -403,158 +289,6 @@ pub(crate) fn mapping_plan(
     hints: Option<&SelectivityHints>,
 ) -> Option<EvalPlan> {
     hints.and_then(|h| plan_query(source_schema, q, Some(h)).ok())
-}
-
-/// One parallel attempt. `Ok(None)` means "degrade to serial" (a worker
-/// panicked or the budget tripped); typed chase errors propagate.
-#[allow(clippy::too_many_arguments)]
-fn chase_par_attempt(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    mappings: &[Mapping],
-    hints: Option<&SelectivityHints>,
-    threads: usize,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Option<Instance>, ChaseError> {
-    // Phase 1: prepare every mapping and enumerate its bindings, in
-    // parallel across mappings — each evaluation governed by the budget.
-    let prepared = try_scope_map(mappings.len(), threads, metrics, |i| {
-        let m = &mappings[i];
-        let p = prepare(source_schema, target_schema, m, metrics)?;
-        let q = m.source_query();
-        let plan = mapping_plan(source_schema, &q, hints);
-        let outcome =
-            evaluate_all_planned_with(source_schema, source, &q, plan.as_ref(), budget, metrics)?;
-        Ok::<_, ChaseError>(outcome.map(|bindings| (p, bindings)))
-    });
-    let mut preps: Vec<(Prepared<'_>, Vec<Binding>)> = Vec::with_capacity(mappings.len());
-    for r in prepared {
-        match r {
-            Err(_panic) => return Ok(None),
-            Ok(Err(e)) => return Err(e),
-            Ok(Ok(Outcome::Truncated { .. })) => return Ok(None),
-            Ok(Ok(Outcome::Complete((p, bindings)))) => {
-                metrics.add("chase.bindings", bindings.len() as u64);
-                metrics.add("chase.steps", bindings.len() as u64);
-                preps.push((p, bindings));
-            }
-        }
-    }
-
-    // Phase 2: cut each mapping's bindings into contiguous chunks. The
-    // mapping-major unit list concatenates back to the serial firing order.
-    let mut units: Vec<(usize, Range<usize>)> = Vec::new();
-    for (mi, (_, bindings)) in preps.iter().enumerate() {
-        for r in chunks(bindings.len(), threads) {
-            units.push((mi, r));
-        }
-    }
-
-    // Phase 3: fire each unit into a private instance with a private term
-    // store (disjoint id ranges — no shared locks). Workers record only
-    // within-unit dedup hits; emission is counted at merge time so the
-    // totals match the serial chase exactly. The step cap is enforced
-    // globally via a shared atomic; the term cap can only be measured on
-    // the merged store, so it is checked in phase 4.
-    let dedup_hits = metrics.counter("chase.dedup_hits");
-    let steps = AtomicU64::new(0);
-    let partials = try_scope_map(units.len(), threads, metrics, |u| {
-        if let Some(f) = muse_fault::point(faultpoints::CHASE_FIRE_UNIT) {
-            return Ok(Err(fault_reason(f)));
-        }
-        let (mi, range) = &units[u];
-        let (p, bindings) = &preps[*mi];
-        let mut partial = Instance::new(target_schema);
-        let emit = Emit {
-            emitted: Counter::default(),
-            dedup_hits: dedup_hits.clone(),
-        };
-        let mut fired: u64 = 0;
-        for binding in &bindings[range.clone()] {
-            let total = steps.fetch_add(1, Ordering::Relaxed) + 1;
-            if budget.steps_exhausted(total) {
-                return Ok(Err(TruncationReason::ChaseStepLimit));
-            }
-            fired += 1;
-            if fired.is_multiple_of(64) && budget.deadline_expired() {
-                return Ok(Err(TruncationReason::DeadlineExpired));
-            }
-            fire(p, &mut partial, binding, &emit)?;
-        }
-        Ok::<Result<Instance, TruncationReason>, ChaseError>(Ok(partial))
-    });
-    let mut fired_units: Vec<Instance> = Vec::with_capacity(units.len());
-    for r in partials {
-        match r {
-            Err(_panic) => return Ok(None),
-            Ok(Err(e)) => return Err(e),
-            Ok(Ok(Err(_reason))) => return Ok(None),
-            Ok(Ok(Ok(partial))) => fired_units.push(partial),
-        }
-    }
-
-    // Phase 4: serial merge in unit order reproduces the serial interning
-    // order, so ids (and renderings) come out identical to `chase`. The
-    // term cap and deadline are re-checked per merged unit.
-    let mut target = Instance::new(target_schema);
-    let emit = Emit {
-        emitted: metrics.counter("chase.tuples_emitted"),
-        dedup_hits,
-    };
-    for partial in &fired_units {
-        if muse_fault::point(faultpoints::CHASE_MERGE).is_some() {
-            return Ok(None);
-        }
-        merge_into(&mut target, partial, &emit);
-        if budget.terms_exhausted(term_count(&target)) || budget.deadline_expired() {
-            return Ok(None);
-        }
-    }
-    Ok(Some(target))
-}
-
-/// Re-intern one partial instance into `target`. Walking the partial
-/// store's ids in ascending order replays its first-use order; called in
-/// unit order this reproduces the global serial interning order.
-pub(crate) fn merge_into(target: &mut Instance, partial: &Instance, emit: &Emit) {
-    let store = partial.store();
-    let mut null_map: Vec<NullId> = Vec::with_capacity(store.null_count());
-    for nid in store.all_null_ids() {
-        let t = store.null_term(nid).clone();
-        let args = remap_values(&t.args, &null_map, &[]);
-        null_map.push(target.store_mut().null_id(t.tag, args));
-    }
-    let mut set_map: Vec<SetId> = Vec::with_capacity(store.set_count());
-    for sid in store.all_set_ids() {
-        let t = store.set_term(sid).clone();
-        let args = remap_values(&t.args, &null_map, &set_map);
-        set_map.push(target.group(t.set, args));
-    }
-    for sid in partial.set_ids() {
-        let into = set_map[sid.index()];
-        for tuple in partial.tuples(sid) {
-            emit.record(target.insert(into, remap_values(tuple, &null_map, &set_map)));
-        }
-    }
-}
-
-fn remap_values(vs: &[Value], null_map: &[NullId], set_map: &[SetId]) -> Vec<Value> {
-    vs.iter()
-        .map(|v| remap_value(v, null_map, set_map))
-        .collect()
-}
-
-fn remap_value(v: &Value, null_map: &[NullId], set_map: &[SetId]) -> Value {
-    match v {
-        Value::Atom(_) => v.clone(),
-        Value::Null(n) => Value::Null(null_map[n.index()]),
-        Value::Set(s) => Value::Set(set_map[s.index()]),
-        Value::Choice(l, inner) => {
-            Value::Choice(l.clone(), Box::new(remap_value(inner, null_map, set_map)))
-        }
-    }
 }
 
 /// Tiny union-find over target `(var, attr)` projections.
@@ -630,8 +364,7 @@ struct SetSlot {
 }
 
 /// Everything [`fire`] needs about one mapping, resolved once per chase
-/// call. Borrowed pieces only — cheap to build, safe to share across
-/// worker threads.
+/// call. Borrowed pieces only — cheap to build.
 pub(crate) struct Prepared<'m> {
     m: &'m Mapping,
     slots: Vec<SetSlot>,
@@ -642,69 +375,6 @@ pub(crate) struct Prepared<'m> {
     /// Per equivalence class: deterministic labeled-null tag.
     class_tag: BTreeMap<usize, String>,
     plans: Vec<TVarPlan>,
-}
-
-/// Chase one mapping into `target` under `budget`. Returns the truncation
-/// reason when the budget (or an injected fault) cut the work short —
-/// `target` then holds everything fired so far, still a valid instance.
-/// `steps` is the cross-mapping firing counter the step cap applies to.
-#[allow(clippy::too_many_arguments)]
-fn chase_into(
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source: &Instance,
-    m: &Mapping,
-    hints: Option<&SelectivityHints>,
-    target: &mut Instance,
-    steps: &mut u64,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Option<TruncationReason>, ChaseError> {
-    let p = prepare(source_schema, target_schema, m, metrics)?;
-    let q = m.source_query();
-    let plan = mapping_plan(source_schema, &q, hints);
-    let bindings =
-        match evaluate_all_planned_with(source_schema, source, &q, plan.as_ref(), budget, metrics)?
-        {
-            Outcome::Complete(b) => b,
-            // The enumeration itself was cut short (already recorded by the
-            // query layer); firing a truncated binding set would produce an
-            // unpredictable prefix, so stop before firing.
-            Outcome::Truncated { reason, .. } => return Ok(Some(reason)),
-        };
-    metrics.add("chase.bindings", bindings.len() as u64);
-    metrics.add("chase.steps", bindings.len() as u64);
-    let emit = Emit {
-        emitted: metrics.counter("chase.tuples_emitted"),
-        dedup_hits: metrics.counter("chase.dedup_hits"),
-    };
-    let check_terms = budget.max_terms.is_some();
-    for binding in &bindings {
-        if let Some(f) = muse_fault::point(faultpoints::CHASE_BINDING) {
-            let reason = fault_reason(f);
-            reason.record(metrics);
-            return Ok(Some(reason));
-        }
-        *steps += 1;
-        if budget.steps_exhausted(*steps) {
-            let reason = TruncationReason::ChaseStepLimit;
-            reason.record(metrics);
-            return Ok(Some(reason));
-        }
-        // The deadline check reads the clock — amortize it over firings.
-        if steps.is_multiple_of(64) && budget.deadline_expired() {
-            let reason = TruncationReason::DeadlineExpired;
-            reason.record(metrics);
-            return Ok(Some(reason));
-        }
-        fire(&p, target, binding, &emit)?;
-        if check_terms && budget.terms_exhausted(term_count(target)) {
-            let reason = TruncationReason::TermLimit;
-            reason.record(metrics);
-            return Ok(Some(reason));
-        }
-    }
-    Ok(None)
 }
 
 /// Validate `m` and resolve its firing plan (equivalence classes, null
@@ -837,11 +507,18 @@ pub(crate) fn prepare<'m>(
 
 /// Emission counters resolved once per mapping, bumped once per tuple.
 pub(crate) struct Emit {
-    pub(crate) emitted: Counter,
-    pub(crate) dedup_hits: Counter,
+    emitted: Counter,
+    dedup_hits: Counter,
 }
 
 impl Emit {
+    pub(crate) fn new(metrics: &Metrics) -> Self {
+        Emit {
+            emitted: metrics.counter("chase.tuples_emitted"),
+            dedup_hits: metrics.counter("chase.dedup_hits"),
+        }
+    }
+
     fn record(&self, inserted: bool) {
         if inserted {
             self.emitted.incr();
@@ -1264,7 +941,12 @@ mod tests {
         let ms = fig1_mappings();
         let m = Metrics::enabled();
         let budget = Budget::unlimited().with_max_chase_steps(2);
-        let out = chase_budget_with(&s, &t, &src, &ms, &budget, &m).unwrap();
+        let req = ChaseReq {
+            metrics: &m,
+            budget: &budget,
+            ..ChaseReq::default()
+        };
+        let out = req.run(&s, &t, &src, &ms).unwrap();
         assert_eq!(out.reason(), Some(TruncationReason::ChaseStepLimit));
         let partial = out.into_value();
         partial.validate(&t).unwrap();
@@ -1284,48 +966,65 @@ mod tests {
         let ms = fig1_mappings();
         let m = Metrics::enabled();
         let budget = Budget::unlimited().with_max_terms(1);
-        let out = chase_budget_with(&s, &t, &src, &ms, &budget, &m).unwrap();
+        let req = ChaseReq {
+            metrics: &m,
+            budget: &budget,
+            ..ChaseReq::default()
+        };
+        let out = req.run(&s, &t, &src, &ms).unwrap();
         assert_eq!(out.reason(), Some(TruncationReason::TermLimit));
         out.value().validate(&t).unwrap();
         assert_eq!(m.snapshot().counter("budget.term_limit_hits"), 1);
     }
 
     #[test]
-    fn unlimited_budget_completes_identically() {
+    fn metered_request_completes_identically() {
         let (s, t) = (compdb(), orgdb());
         let src = fig2_source(&s);
         let ms = fig1_mappings();
-        let legacy = chase(&s, &t, &src, &ms).unwrap();
-        let governed = chase_budget_with(
-            &s,
-            &t,
-            &src,
-            &ms,
-            Budget::unlimited_ref(),
-            &Metrics::disabled(),
-        )
-        .unwrap();
-        assert!(governed.is_complete());
+        let plain = chase(&s, &t, &src, &ms).unwrap();
+        let m = Metrics::enabled();
+        let req = ChaseReq {
+            metrics: &m,
+            ..ChaseReq::default()
+        };
+        let metered = req.run(&s, &t, &src, &ms).unwrap();
+        assert!(metered.is_complete());
         assert_eq!(
-            display::render(&t, &legacy),
-            display::render(&t, governed.value())
+            display::render(&t, &plain),
+            display::render(&t, metered.value())
         );
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("chase.mappings"), 3);
+        assert_eq!(snap.timer("chase.time").count, 3);
     }
 
     #[test]
-    fn par_budget_truncation_falls_back_to_serial_result() {
+    fn store_request_serves_one_mapping_and_counts_the_rest_as_fallbacks() {
         let (s, t) = (compdb(), orgdb());
         let src = fig2_source(&s);
         let ms = fig1_mappings();
-        let budget = Budget::unlimited().with_max_chase_steps(3);
+        let store = DeltaStore::new();
         let m = Metrics::enabled();
-        let serial = chase_budget_with(&s, &t, &src, &ms, &budget, &Metrics::disabled()).unwrap();
-        let par = chase_par_budget_with(&s, &t, &src, &ms, 4, &budget, &m).unwrap();
-        assert_eq!(serial.reason(), par.reason());
+        let req = ChaseReq {
+            metrics: &m,
+            delta: Some(&store),
+            ..ChaseReq::default()
+        };
+        // m3 ranges over one flat root: the store materializes it.
+        let one = req.run(&s, &t, &src, &ms[2..]).unwrap().into_value();
         assert_eq!(
-            display::render(&t, serial.value()),
-            display::render(&t, par.value())
+            display::dump(&one),
+            display::dump(&chase_one(&s, &t, &src, &ms[2]).unwrap())
         );
-        assert_eq!(m.snapshot().counter("chase.par_fallbacks"), 1);
+        assert_eq!(m.snapshot().counter("chase.delta_misses"), 1);
+        assert_eq!(store.len(), 1);
+        // A multi-mapping request always takes the scratch path.
+        let all = req.run(&s, &t, &src, &ms).unwrap().into_value();
+        assert_eq!(
+            display::dump(&all),
+            display::dump(&chase(&s, &t, &src, &ms).unwrap())
+        );
+        assert_eq!(m.snapshot().counter("chase.delta_fallbacks"), 1);
     }
 }

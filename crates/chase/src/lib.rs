@@ -22,11 +22,7 @@ pub mod hom;
 
 pub use delta::DeltaStore;
 pub use effect::same_effect_on;
-pub use engine::{
-    chase, chase_budget_planned_with, chase_budget_with, chase_one, chase_one_budget_planned_with,
-    chase_one_budget_with, chase_one_with, chase_par, chase_par_budget_planned_with,
-    chase_par_budget_with, chase_par_with, chase_with,
-};
+pub use engine::{chase, chase_one, ChaseReq};
 pub use error::ChaseError;
 pub use fingerprint::fingerprint;
 pub use hom::{

@@ -4,13 +4,15 @@
 //! scratch chase produces — renderings, `Debug` state, `TermStore` null and
 //! SetID numbering — the incremental path must reproduce exactly, across
 //! materialization, retract/assert deltas, delete/rederive cycles, restored
-//! snapshots and parallel re-fires. These tests drive all of that over the
-//! four paper scenarios plus a hand-built high-volume scenario.
+//! snapshots and large re-fires. These tests drive all of that over the
+//! four paper scenarios plus a hand-built high-volume scenario. The store
+//! is reached the way the wizards reach it: through a [`ChaseReq`] whose
+//! `delta` field is set.
 
-use muse_chase::{chase_one, DeltaStore};
+use muse_chase::{chase_one, ChaseReq, DeltaStore};
 use muse_mapping::Mapping;
 use muse_nr::{display, Atom, Instance, Schema, Value};
-use muse_obs::{Budget, Metrics, Outcome, Rng};
+use muse_obs::{Metrics, Outcome, Rng};
 use muse_scenarios::{all_scenarios, Scenario};
 
 /// Ambiguity resolved to the first interpretation, groupings defaulted —
@@ -58,16 +60,24 @@ fn incremental_chase(
     m: &Mapping,
     metrics: &Metrics,
 ) -> Instance {
-    match store
-        .chase_one(
-            &s.source_schema,
-            &s.target_schema,
-            inst,
-            m,
-            None,
-            Budget::unlimited_ref(),
-            metrics,
-        )
+    store_chase(store, &s.source_schema, &s.target_schema, inst, m, metrics)
+}
+
+fn store_chase(
+    store: &DeltaStore,
+    source_schema: &Schema,
+    target_schema: &Schema,
+    inst: &Instance,
+    m: &Mapping,
+    metrics: &Metrics,
+) -> Instance {
+    let req = ChaseReq {
+        metrics,
+        delta: Some(store),
+        ..ChaseReq::default()
+    };
+    match req
+        .run(source_schema, target_schema, inst, std::slice::from_ref(m))
         .expect("incremental chase")
     {
         Outcome::Complete(t) => t,
@@ -119,14 +129,15 @@ fn incremental_matches_scratch_across_scenarios() {
             for step in 0..3 {
                 for m in &mappings {
                     let scratch_metrics = Metrics::enabled();
-                    let scratch = muse_chase::chase_one_budget_planned_with(
+                    let scratch = ChaseReq {
+                        metrics: &scratch_metrics,
+                        ..ChaseReq::default()
+                    }
+                    .run(
                         &s.source_schema,
                         &s.target_schema,
                         &inst,
-                        m,
-                        None,
-                        Budget::unlimited_ref(),
-                        &scratch_metrics,
+                        std::slice::from_ref(m),
                     )
                     .expect("scratch chase")
                     .into_value();
@@ -242,10 +253,10 @@ fn delete_rederive_roundtrip() {
     }
 }
 
-/// A flat two-relation scenario big enough to cross the parallel re-fire
-/// threshold: `threads > 1` must stay byte-identical (unit-order merge).
+/// A flat scenario with a large live binding set: a one-tuple delta must
+/// re-fire all 600 bindings byte-identically to the scratch chase.
 #[test]
-fn parallel_refire_is_byte_identical() {
+fn large_refire_is_byte_identical() {
     use muse_nr::{Field, Ty};
     let source = Schema::new(
         "Src",
@@ -293,21 +304,11 @@ fn parallel_refire_is_byte_identical() {
             ],
         );
     }
-    let store = DeltaStore::with_threads(4);
+    let store = DeltaStore::new();
     let metrics = Metrics::enabled();
-    // Materialize, then force a delta so the parallel path re-fires a
-    // large live set.
-    let _ = store
-        .chase_one(
-            &source,
-            &target,
-            &inst,
-            &m,
-            None,
-            Budget::unlimited_ref(),
-            &metrics,
-        )
-        .unwrap();
+    // Materialize, then force a delta so the store re-fires a large live
+    // set.
+    let _ = store_chase(&store, &source, &target, &inst, &m, &metrics);
     inst.remove(
         root,
         &vec![Value::int(17), Value::str("item-17"), Value::int(17 % 13)],
@@ -316,28 +317,14 @@ fn parallel_refire_is_byte_identical() {
         root,
         vec![Value::int(1000), Value::str("item-1000"), Value::int(5)],
     );
-    let inc = match store
-        .chase_one(
-            &source,
-            &target,
-            &inst,
-            &m,
-            None,
-            Budget::unlimited_ref(),
-            &metrics,
-        )
-        .unwrap()
-    {
-        Outcome::Complete(t) => t,
-        Outcome::Truncated { .. } => panic!("truncated"),
-    };
+    let inc = store_chase(&store, &source, &target, &inst, &m, &metrics);
     let scratch = chase_one(&source, &target, &inst, &m).unwrap();
-    assert_identical(&target, &scratch, &inc, "parallel refire");
+    assert_identical(&target, &scratch, &inc, "large refire");
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("chase.delta_hits"), 1);
     assert_eq!(snap.counter("chase.retracted"), 1);
     assert_eq!(snap.counter("chase.delta_facts"), 1);
-    assert!(snap.counter("par.rounds") > 0, "parallel refire never ran");
+    assert_eq!(snap.counter("chase.rederived"), 599);
 }
 
 /// Export/import roundtrip: a restored store must answer the next chase as

@@ -36,7 +36,7 @@ struct Options {
     deadline_ms: Option<u64>,
     max_rows: Option<u64>,
     max_terms: Option<u64>,
-    auto_chase_budget: bool,
+    auto_chase_steps: bool,
 }
 
 impl Options {
@@ -51,7 +51,7 @@ impl Options {
         if let Some(n) = self.max_terms {
             b = b.with_max_terms(n);
         }
-        if self.auto_chase_budget {
+        if self.auto_chase_steps {
             b = b.with_auto_chase_steps();
         }
         b
@@ -69,7 +69,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut deadline_ms = None;
     let mut max_rows = None;
     let mut max_terms = None;
-    let mut auto_chase_budget = false;
+    let mut auto_chase_steps = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -84,7 +84,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             continue;
         }
         if flag == "--auto-chase-budget" {
-            auto_chase_budget = true;
+            auto_chase_steps = true;
             i += 1;
             continue;
         }
@@ -118,7 +118,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         deadline_ms,
         max_rows,
         max_terms,
-        auto_chase_budget,
+        auto_chase_steps,
     })
 }
 

@@ -92,7 +92,7 @@ fn usage() {
     println!("      --max-rows <n>             cap query result rows (graceful truncation)");
     println!("      --max-terms <n>            cap interned terms per chased instance");
     println!("      --faults <spec>            arm a fault-injection plan, e.g.");
-    println!("                                 `chase.fire_unit:panic@2;seed:7x3`");
+    println!("                                 `wizard.probe:deadline@2;seed:7x3`");
     println!("                                 (also via the MUSE_FAULTS env var)");
     println!("      --synth <count>x<seed>     append generated fleet scenarios to");
     println!("                                 `scenario all` / `lint all` runs");

@@ -26,7 +26,7 @@ struct Options {
     deadline_ms: Option<u64>,
     max_rows: Option<u64>,
     max_terms: Option<u64>,
-    auto_chase_budget: bool,
+    auto_chase_steps: bool,
     faults: Option<String>,
     synth: Option<(usize, u64)>,
 }
@@ -45,7 +45,7 @@ impl Options {
         if let Some(n) = self.max_terms {
             b = b.with_max_terms(n);
         }
-        if self.auto_chase_budget {
+        if self.auto_chase_steps {
             b = b.with_auto_chase_steps();
         }
         b
@@ -86,7 +86,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         deadline_ms: None,
         max_rows: None,
         max_terms: None,
-        auto_chase_budget: false,
+        auto_chase_steps: false,
         faults: None,
         synth: None,
     };
@@ -102,7 +102,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 i += 1;
             }
             "--auto-chase-budget" => {
-                opts.auto_chase_budget = true;
+                opts.auto_chase_steps = true;
                 i += 1;
             }
             "--deadline-ms" => {
@@ -133,7 +133,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.faults = Some(
                     args.get(i + 1)
                         .cloned()
-                        .ok_or("--faults needs a spec, e.g. `chase.fire_unit:panic@2`")?,
+                        .ok_or("--faults needs a spec, e.g. `wizard.probe:deadline@2`")?,
                 );
                 i += 2;
             }

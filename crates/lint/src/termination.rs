@@ -443,12 +443,15 @@ mod tests {
         // the plan probes it key-covered, so bound = 4 · 3 = 12.
         assert_eq!(bound, 12);
         let metrics = muse_obs::Metrics::enabled();
-        muse_chase::chase_with(
+        muse_chase::ChaseReq {
+            metrics: &metrics,
+            ..Default::default()
+        }
+        .run(
             input.source_schema,
             input.target_schema,
             &inst,
             input.mappings,
-            &metrics,
         )
         .unwrap();
         let observed = metrics.snapshot().counter("chase.steps");

@@ -15,16 +15,8 @@
 /// Query evaluation entry (`evaluate_budget_with`). Deadline faults only.
 pub const QUERY_EVAL: &str = "query.eval";
 
-/// The serial chase binding loop, checked once per firing.
+/// The chase binding loop, checked once per firing.
 pub const CHASE_BINDING: &str = "chase.binding";
-
-/// One parallel chase unit firing into its private instance. Panic
-/// isolated: the pool catches the unwind and the chase falls back to the
-/// serial path.
-pub const CHASE_FIRE_UNIT: &str = "chase.fire_unit";
-
-/// The serial merge / re-intern loop after parallel unit firing.
-pub const CHASE_MERGE: &str = "chase.merge";
 
 /// Inside a `muse-par` worker, once per item. Panic isolated.
 pub const PAR_WORKER: &str = "par.worker";
@@ -80,8 +72,6 @@ pub const SERVE_SESSION_STEP: &str = "serve.session.step";
 pub const ALL: &[&str] = &[
     QUERY_EVAL,
     CHASE_BINDING,
-    CHASE_FIRE_UNIT,
-    CHASE_MERGE,
     PAR_WORKER,
     WIZARD_PROBE,
     SERVE_ACCEPT,
@@ -96,7 +86,7 @@ pub const ALL: &[&str] = &[
 
 /// Points wrapped in panic isolation (`catch_unwind`); only these may
 /// receive injected panics.
-pub const PANIC_ISOLATED: &[&str] = &[CHASE_FIRE_UNIT, PAR_WORKER, SERVE_SESSION_STEP];
+pub const PANIC_ISOLATED: &[&str] = &[PAR_WORKER, SERVE_SESSION_STEP];
 
 /// Points backed by real storage IO; only these may receive injected
 /// `io` faults (the site translates them into an `io::Error` on its own
@@ -130,7 +120,7 @@ mod tests {
 
     #[test]
     fn registry_is_consistent() {
-        assert!(is_registered(CHASE_FIRE_UNIT));
+        assert!(is_registered(CHASE_BINDING));
         assert!(!is_registered("chase.nonsense"));
         for p in PANIC_ISOLATED {
             assert!(is_registered(p), "panic-isolated point {p} not in ALL");

@@ -1,9 +1,10 @@
 //! **muse-par** — the zero-external-dependency parallel execution layer.
 //!
 //! Everything multi-core in the workspace goes through this crate: the
-//! parallel chase partitions its firings over [`scope_map`], the bench
-//! binaries run independent scenarios concurrently with it, and the CLI's
-//! `muse scenario all --threads N` drives whole wizard sessions through it.
+//! bench binaries run independent scenarios concurrently with it, the
+//! CLI's `muse scenario all --threads N` drives whole wizard sessions
+//! through it, and `muse serve` runs its request workers on it. The chase
+//! itself stays serial; DESIGN.md ("Parallel execution") records why.
 //!
 //! Design constraints, in order:
 //!
@@ -34,7 +35,7 @@
 
 pub mod pool;
 
-pub use pool::{chunks, scope_map, try_scope_map, WorkerPanic};
+pub use pool::{scope_map, try_scope_map, WorkerPanic};
 
 /// Thread count requested via the `MUSE_THREADS` environment variable, if
 /// set to something parseable.

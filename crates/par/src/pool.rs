@@ -15,7 +15,6 @@
 //! contract by resuming the first caught unwind after all workers join.
 
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -183,29 +182,6 @@ where
     out
 }
 
-/// Split `0..len` into at most `parts` contiguous ranges of near-equal
-/// size (the first `len % parts` ranges are one longer). Used to chunk a
-/// mapping's bindings across workers; concatenating the ranges in order
-/// re-yields `0..len`, which is what keeps the parallel chase's merge
-/// deterministic.
-pub fn chunks(len: usize, parts: usize) -> Vec<Range<usize>> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, len);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    debug_assert_eq!(start, len);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,24 +228,5 @@ mod tests {
         // All items complete even with far more items than workers.
         let sum: usize = scope_map(1000, 3, &Metrics::disabled(), |i| i).iter().sum();
         assert_eq!(sum, 999 * 1000 / 2);
-    }
-
-    #[test]
-    fn chunks_cover_exactly() {
-        for (len, parts) in [(0, 4), (1, 4), (7, 3), (8, 3), (9, 3), (100, 7), (3, 10)] {
-            let cs = chunks(len, parts);
-            let mut covered = 0;
-            for (i, c) in cs.iter().enumerate() {
-                assert_eq!(c.start, covered, "len={len} parts={parts} chunk {i}");
-                covered = c.end;
-            }
-            assert_eq!(covered, len, "len={len} parts={parts}");
-            if len > 0 {
-                assert!(cs.len() <= parts.max(1));
-                let sizes: Vec<usize> = cs.iter().map(ExactSizeIterator::len).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "near-equal sizes: {sizes:?}");
-            }
-        }
     }
 }

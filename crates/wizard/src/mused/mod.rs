@@ -14,7 +14,7 @@ pub mod joins;
 
 use std::time::Duration;
 
-use muse_chase::chase_budget_planned_with;
+use muse_chase::ChaseReq;
 use muse_lint::ambiguity::alternatives_count;
 use muse_mapping::ambiguity::{or_groups, select_multi};
 use muse_mapping::{Mapping, PathRef, WhereClause};
@@ -57,9 +57,9 @@ pub struct MuseD<'a> {
     /// results, far fewer `query.steps`). [`crate::Session`] derives these
     /// from `source_constraints` automatically.
     pub plan_hints: Option<&'a muse_query::SelectivityHints>,
-    /// Incremental chase store: when set, the partial-target chase routes
-    /// through [`muse_chase::DeltaStore::chase_one`] (byte-identical
-    /// output; scratch fallback under budgets/faults).
+    /// Incremental chase store: when set, the partial-target chase carries
+    /// it in its [`ChaseReq`] (byte-identical output; scratch fallback
+    /// under budgets/faults).
     pub delta: Option<&'a muse_chase::DeltaStore>,
 }
 
@@ -281,26 +281,18 @@ impl<'a> MuseD<'a> {
         common
             .wheres
             .retain(|w| matches!(w, WhereClause::Eq { .. }));
-        let partial = match self.delta {
-            Some(store) => store.chase_one(
-                self.source_schema,
-                self.target_schema,
-                &example.instance,
-                &common,
-                self.plan_hints,
-                self.budget,
-                self.metrics,
-            )?,
-            None => chase_budget_planned_with(
-                self.source_schema,
-                self.target_schema,
-                &example.instance,
-                &[common],
-                self.plan_hints,
-                self.budget,
-                self.metrics,
-            )?,
+        let req = ChaseReq {
+            metrics: self.metrics,
+            budget: self.budget,
+            hints: self.plan_hints,
+            delta: self.delta,
         };
+        let partial = req.run(
+            self.source_schema,
+            self.target_schema,
+            &example.instance,
+            &[common],
+        )?;
         let Outcome::Complete(partial_target) = partial else {
             return Ok(None);
         };

@@ -21,7 +21,7 @@ pub mod instance_only;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use muse_chase::chase_one_budget_planned_with;
+use muse_chase::ChaseReq;
 use muse_mapping::{Grouping, Mapping, PathRef};
 use muse_nr::constraints::fdset::{all_attrs, attrs, iter_attrs, AttrSet};
 use muse_nr::{Constraints, Instance, Schema, SetPath};
@@ -69,10 +69,10 @@ pub struct MuseG<'a> {
     /// results, far fewer `query.steps`). [`crate::Session`] derives these
     /// from `source_constraints` automatically.
     pub plan_hints: Option<&'a muse_query::SelectivityHints>,
-    /// Incremental chase store: when set, probe chases route through
-    /// [`muse_chase::DeltaStore::chase_one`], which rederives unchanged
-    /// bindings from materialized state instead of re-chasing from scratch
-    /// (byte-identical output; scratch fallback under budgets/faults).
+    /// Incremental chase store: when set, probe chases carry it in their
+    /// [`ChaseReq`], which rederives unchanged bindings from materialized
+    /// state instead of re-chasing from scratch (byte-identical output;
+    /// scratch fallback under budgets/faults).
     pub delta: Option<&'a muse_chase::DeltaStore>,
 }
 
@@ -529,25 +529,19 @@ impl<'a> MuseG<'a> {
         let probe_chase = self.metrics.timer("wizard.probe_chase_time").start();
         // d1 and d2 share the probe's source query, so with a delta store
         // the second chase is a pure rederivation of the first's bindings.
-        let probe = |m: &Mapping| match self.delta {
-            Some(store) => store.chase_one(
+        let req = ChaseReq {
+            metrics: self.metrics,
+            budget: self.budget,
+            hints: self.plan_hints,
+            delta: self.delta,
+        };
+        let probe = |m: &Mapping| {
+            req.run(
                 self.source_schema,
                 self.target_schema,
                 &example.instance,
-                m,
-                self.plan_hints,
-                self.budget,
-                self.metrics,
-            ),
-            None => chase_one_budget_planned_with(
-                self.source_schema,
-                self.target_schema,
-                &example.instance,
-                m,
-                self.plan_hints,
-                self.budget,
-                self.metrics,
-            ),
+                std::slice::from_ref(m),
+            )
         };
         let Outcome::Complete(scenario1) = probe(&d1)? else {
             return Ok(None);

@@ -7,24 +7,12 @@
 //! CI additionally exports `MUSE_FAULTS` so the whole suite runs once with
 //! a plan armed from the environment (`muse_fault::arm_from_env`).
 
-use std::sync::Mutex;
-
 use muse_fault::{arm_scoped, parse_spec, plan_from_seed, FaultPlan};
-use muse_obs::{Budget, Metrics, Outcome};
-use muse_suite::chase::{chase_budget_with, chase_par_budget_with, chase_with, fingerprint};
+use muse_suite::chase::{fingerprint, ChaseReq};
 use muse_suite::cliogen::{desired_grouping, GroupingStrategy};
 use muse_suite::mapping::ambiguity::{or_groups, select_multi};
 use muse_suite::scenarios::Scenario;
 use muse_suite::wizard::{OracleDesigner, Session, WizardError};
-
-/// Fault arming is process-global: every test that touches instrumented
-/// points serializes on this lock (poisoning ignored — a failed test must
-/// not cascade).
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FAULT_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 struct PipelineResult {
     /// Final mappings in concrete syntax.
@@ -87,15 +75,14 @@ fn run_pipeline(scenario: &Scenario, scale: f64) -> Result<PipelineResult, Wizar
             .unwrap_or_else(|e| panic!("{}/{}: invalid mapping: {e}", scenario.name, m.name));
     }
 
-    let outcome = chase_budget_with(
-        &scenario.source_schema,
-        &scenario.target_schema,
-        &instance,
-        &report.mappings,
-        Budget::unlimited_ref(),
-        &Metrics::disabled(),
-    )
-    .map_err(WizardError::Chase)?;
+    let outcome = ChaseReq::default()
+        .run(
+            &scenario.source_schema,
+            &scenario.target_schema,
+            &instance,
+            &report.mappings,
+        )
+        .map_err(WizardError::Chase)?;
     let chase_truncated = !outcome.is_complete();
     let target = outcome.into_value();
     // Complete or truncated, the produced instance must be valid.
@@ -109,21 +96,6 @@ fn run_pipeline(scenario: &Scenario, scale: f64) -> Result<PipelineResult, Wizar
         warnings: report.warnings.len(),
         chase_truncated,
     })
-}
-
-/// A chase-ready Σ: every ambiguous mapping resolved to its first
-/// interpretation.
-fn resolved_mappings(scenario: &Scenario) -> Vec<muse_suite::mapping::Mapping> {
-    let mut out = Vec::new();
-    for m in scenario.mappings().unwrap() {
-        if m.is_ambiguous() {
-            let picks = vec![vec![0usize]; or_groups(&m).len()];
-            out.extend(select_multi(&m, &picks).unwrap());
-        } else {
-            out.push(m);
-        }
-    }
-    out
 }
 
 fn scenario_scale(name: &str) -> f64 {
@@ -185,9 +157,9 @@ fn chaos_matrix(plans: &[(String, FaultPlan)]) {
     }
 }
 
+/// Fault arming is process-global, so this binary holds a single test.
 #[test]
 fn seeded_fault_plans_degrade_cleanly() {
-    let _g = lock();
     let mut plans: Vec<(String, FaultPlan)> = vec![
         ("seed:7x3".into(), plan_from_seed(7, 3)),
         ("seed:1042x2".into(), plan_from_seed(1042, 2)),
@@ -216,89 +188,4 @@ fn seeded_fault_plans_degrade_cleanly() {
         }
     }
     chaos_matrix(&plans);
-}
-
-#[test]
-fn injected_par_panic_falls_back_to_identical_serial_output() {
-    let _g = lock();
-    let scenarios = muse_suite::scenarios::all_scenarios();
-    let scenario = scenarios.iter().find(|s| s.name == "Mondial").unwrap();
-    let instance = scenario.instance(0.02, 11);
-    let mappings = resolved_mappings(scenario);
-
-    let serial = chase_with(
-        &scenario.source_schema,
-        &scenario.target_schema,
-        &instance,
-        &mappings,
-        &Metrics::disabled(),
-    )
-    .unwrap();
-
-    let metrics = Metrics::enabled();
-    let plan = parse_spec("chase.fire_unit:panic@1").unwrap();
-    let guard = arm_scoped(plan);
-    let outcome = chase_par_budget_with(
-        &scenario.source_schema,
-        &scenario.target_schema,
-        &instance,
-        &mappings,
-        4,
-        Budget::unlimited_ref(),
-        &metrics,
-    )
-    .unwrap();
-    let stats = muse_fault::stats().expect("armed");
-    drop(guard);
-
-    assert_eq!(stats.injected, 1, "the panic fired exactly once");
-    let Outcome::Complete(par_target) = outcome else {
-        panic!("one-shot panic must not truncate the retried chase");
-    };
-    assert_eq!(
-        fingerprint(&par_target),
-        fingerprint(&serial),
-        "serial fallback must be byte-identical to the serial chase"
-    );
-    let s = metrics.snapshot();
-    assert_eq!(s.counter("chase.par_fallbacks"), 1);
-    assert!(s.counter("par.panics") >= 1, "worker panic was isolated");
-}
-
-#[test]
-fn worker_panic_in_phase_one_also_falls_back() {
-    let _g = lock();
-    let scenarios = muse_suite::scenarios::all_scenarios();
-    let scenario = scenarios.iter().find(|s| s.name == "Amalgam").unwrap();
-    let instance = scenario.instance(0.02, 11);
-    let mappings = resolved_mappings(scenario);
-
-    let serial = chase_with(
-        &scenario.source_schema,
-        &scenario.target_schema,
-        &instance,
-        &mappings,
-        &Metrics::disabled(),
-    )
-    .unwrap();
-
-    let metrics = Metrics::enabled();
-    let guard = arm_scoped(parse_spec("par.worker:panic@1").unwrap());
-    let outcome = chase_par_budget_with(
-        &scenario.source_schema,
-        &scenario.target_schema,
-        &instance,
-        &mappings,
-        4,
-        Budget::unlimited_ref(),
-        &metrics,
-    )
-    .unwrap();
-    drop(guard);
-
-    let Outcome::Complete(par_target) = outcome else {
-        panic!("one-shot panic must not truncate the retried chase");
-    };
-    assert_eq!(fingerprint(&par_target), fingerprint(&serial));
-    assert_eq!(metrics.snapshot().counter("chase.par_fallbacks"), 1);
 }
