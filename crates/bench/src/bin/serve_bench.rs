@@ -19,7 +19,10 @@
 //! client drives a fresh session on the quiet, cache-warm server, and the
 //! p50 of its answer round-trips must stay under 5 ms. (The load phase's
 //! own handle histogram deliberately oversubscribes the box, so it
-//! measures queueing; the serial drive measures the hot path.)
+//! measures queueing; the serial drive measures the hot path.) The same
+//! client then times 101 `GET /healthz` round trips on its warm
+//! connection (`warm_healthz_p50_ms`, no gate): the HTTP and
+//! connection-poller floor under every answer.
 //!
 //! Two robustness phases ride along (ISSUE 9): a sticky `serve.wal.append`
 //! IO fault is armed to count degraded-mode sheds and time the recovery
@@ -174,11 +177,15 @@ fn main() {
         warm_rtts_ms.push(t.elapsed().as_secs_f64() * 1e3);
     }
     warm_http.report(warm_id).expect("warm report");
-    warm_rtts_ms.sort_by(f64::total_cmp);
-    let warm_p50_ms = warm_rtts_ms
-        .get(warm_rtts_ms.len() / 2)
-        .copied()
-        .unwrap_or(f64::NAN);
+    let warm_p50_ms = p50(&mut warm_rtts_ms);
+    let mut healthz_rtts_ms: Vec<f64> = (0..101)
+        .map(|_| {
+            let t = Instant::now();
+            warm_http.healthz().expect("warm healthz");
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let warm_healthz_p50_ms = p50(&mut healthz_rtts_ms);
     // Load-phase sessions plus the warm one, all driven to completion.
     let total_sessions = sessions + 1;
 
@@ -341,7 +348,11 @@ fn main() {
     }
 
     let throughput = requests as f64 / drive_time.as_secs_f64().max(1e-9);
-    println!("serve_bench: {SCENARIO} x{sessions}, {client_threads} client threads");
+    let hw_threads = muse_par::available_parallelism();
+    println!(
+        "serve_bench: {SCENARIO} x{sessions}, {client_threads} client threads, \
+         {hw_threads} hardware thread(s)"
+    );
     println!(
         "  open     {sessions} sessions in {:.2}s (all concurrently open)",
         open_time.as_secs_f64()
@@ -352,8 +363,10 @@ fn main() {
     );
     println!("  handle   {}", handle.render());
     println!(
-        "  warm     serial answer p50 {warm_p50_ms:.3} ms over {} round-trips",
-        warm_rtts_ms.len()
+        "  warm     serial answer p50 {warm_p50_ms:.3} ms over {} round-trips; \
+         healthz p50 {warm_healthz_p50_ms:.3} ms over {}",
+        warm_rtts_ms.len(),
+        healthz_rtts_ms.len()
     );
     println!(
         "  conns    {accepts} accepts / {server_requests} requests ({keepalive_reuses} keep-alive reuses)"
@@ -382,6 +395,7 @@ fn main() {
             ("sessions", Json::Int(sessions as i64)),
             ("client_threads", Json::Int(client_threads as i64)),
             ("server_threads", Json::Int(server_threads as i64)),
+            ("hw_threads", Json::Int(hw_threads as i64)),
             ("max_connections", Json::Int(max_connections as i64)),
             ("open_time_s", Json::Num(open_time.as_secs_f64())),
             ("drive_time_s", Json::Num(drive_time.as_secs_f64())),
@@ -399,6 +413,7 @@ fn main() {
             ("wal_compactions", Json::Int(compactions as i64)),
             ("handle", handle),
             ("warm_p50_ms", Json::Num(warm_p50_ms)),
+            ("warm_healthz_p50_ms", Json::Num(warm_healthz_p50_ms)),
             ("replay_sessions", Json::Int(total_sessions as i64)),
             ("replay_time_s", Json::Num(replay_time.as_secs_f64())),
             ("snapshot_restores", Json::Int(snapshot_restores as i64)),
@@ -426,6 +441,12 @@ fn main() {
         eprintln!("serve_bench: {hard} hard failure(s)");
         std::process::exit(1);
     }
+}
+
+/// The median of `samples` (sorted in place); NaN when empty.
+fn p50(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples.get(samples.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
 fn mk_client(addr: &str) -> Client {

@@ -13,6 +13,8 @@
 //! `query.*`/`chase.*`/`iso.*`/`wizard.*` counters and timings recorded
 //! while producing them) into `BENCH_baseline.json` — see [`baseline`].
 
+#![forbid(unsafe_code)]
+
 use std::time::Duration;
 
 use muse_cliogen::{desired_grouping, GroupingStrategy};

@@ -13,6 +13,8 @@
 //! Muse-G's differentiating scenarios — and the *same effect* relation of
 //! Def. 3.1 ([`effect`]).
 
+#![forbid(unsafe_code)]
+
 pub mod delta;
 pub mod effect;
 pub mod engine;

@@ -20,6 +20,8 @@
 //!     --metrics                      print per-stage counters/timings after the run
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::{stdin, stdout, Write};
 
 mod demo;

@@ -24,6 +24,8 @@
 //! The [`strategy`] module computes the designer-intended grouping functions
 //! `G1`/`G2`/`G3` used by the paper's evaluation (Sec. VI).
 
+#![forbid(unsafe_code)]
+
 pub mod assoc;
 pub mod correspondence;
 pub mod generate;

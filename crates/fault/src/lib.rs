@@ -45,6 +45,8 @@
 //! process-globally ([`arm`] / [`disarm`] / [`arm_from_env`]);
 //! tests that arm plans must serialize.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;

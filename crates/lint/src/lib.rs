@@ -33,6 +33,8 @@
 //! (`unwrap`/`expect`/`panic!`), with `// lint:allow(<code>)` as the escape
 //! hatch for provably infallible sites.
 
+#![forbid(unsafe_code)]
+
 pub mod ambiguity;
 pub mod budget;
 pub mod constraints;

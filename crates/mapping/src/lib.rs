@@ -25,6 +25,8 @@
 //! computation Muse-G starts from ([`poss::poss`]), and ambiguity utilities
 //! ([`ambiguity`]).
 
+#![forbid(unsafe_code)]
+
 pub mod ambiguity;
 pub mod ast;
 pub mod closure;

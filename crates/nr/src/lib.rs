@@ -16,6 +16,8 @@
 //! Everything downstream (query evaluation, the chase, mapping generation and
 //! the Muse wizards) is built on these types.
 
+#![forbid(unsafe_code)]
+
 pub mod atom;
 pub mod builder;
 pub mod constraints;

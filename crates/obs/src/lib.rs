@@ -22,6 +22,8 @@
 //! `muse-fault` crate arms (obs hosts only the *names*, so every crate can
 //! reference them without depending on the injector).
 
+#![forbid(unsafe_code)]
+
 pub mod budget;
 pub mod faultpoints;
 pub mod json;

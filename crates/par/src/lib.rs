@@ -33,6 +33,8 @@
 //! which beats the serial default of 1. A count of `0` means "one worker
 //! per available core".
 
+#![forbid(unsafe_code)]
+
 pub mod pool;
 
 pub use pool::{scope_map, try_scope_map, WorkerPanic};

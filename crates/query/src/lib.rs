@@ -12,6 +12,8 @@
 //! ordering and lazily built hash indexes per `(set path, attribute)`, which
 //! keeps `QIe` retrieval sub-second on the paper-sized (10 MB) instances.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod eval;

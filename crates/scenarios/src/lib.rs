@@ -12,6 +12,8 @@
 //! `dbgen` output and the Amalgam distribution) are not redistributable
 //! here; see DESIGN.md for the substitution rationale.
 
+#![forbid(unsafe_code)]
+
 pub mod amalgam;
 pub mod dblp;
 pub mod gen;

@@ -3,7 +3,11 @@
 //! client keeps its TCP connection alive across requests (HTTP/1.1
 //! keep-alive) and falls back to a fresh connection when the server has
 //! closed the cached one — the server is free to drop parked connections
-//! at any time (idle timeout, per-connection request cap, drain).
+//! at any time (idle timeout, per-connection request cap, drain). It
+//! falls back only when the server closed the connection before any byte
+//! of the response arrived: once a response has started, the server has
+//! read the request and may have applied it, so a resend could apply an
+//! answer twice.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -102,12 +106,13 @@ impl Client {
     ) -> Result<(u16, Json, Option<u64>), String> {
         let bytes = encode_request(method, path, &self.addr, body);
 
-        // First try the cached keep-alive connection. A transport failure
-        // here is the normal stale-connection race — the server closed the
-        // parked connection before reading our bytes, so the request was
-        // never processed and a retry on a fresh connection is safe. A
-        // protocol (`InvalidData`) failure is surfaced: the server *did*
-        // respond, and retrying could double-apply a mutation.
+        // First try the cached keep-alive connection. A close before any
+        // response byte is the normal stale-connection race — the server
+        // dropped the parked connection without reading our bytes, so the
+        // request was never processed and a retry on a fresh connection is
+        // safe. Anything else is surfaced: a started response means the
+        // server read the request, and a timeout leaves it unknown whether
+        // the server applied it.
         let cached = self.take_cached();
         if let Some(mut stream) = cached {
             match exchange(&mut stream, &bytes) {
@@ -117,10 +122,8 @@ impl Client {
                     }
                     return Ok((status, body, retry_after));
                 }
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    return Err(format!("{method} {path}: {e}"));
-                }
-                Err(_) => {} // stale connection: fall through to a fresh one
+                Err(e) if e.is_stale_connection() => {} // fall through to a fresh one
+                Err(e) => return Err(format!("{method} {path}: {}", e.error)),
             }
         }
 
@@ -135,7 +138,7 @@ impl Client {
                 }
                 Ok((status, body, retry_after))
             }
-            Err(e) => Err(format!("{method} {path}: {e}")),
+            Err(e) => Err(format!("{method} {path}: {}", e.error)),
         }
     }
 
@@ -231,19 +234,57 @@ fn protocol(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// A failed [`exchange`].
+#[derive(Debug)]
+struct ExchangeError {
+    error: io::Error,
+    /// Whether any byte of the response had arrived before the failure.
+    response_started: bool,
+}
+
+impl ExchangeError {
+    /// The server closed the connection before answering at all: it never
+    /// read the request, so sending it again cannot apply it twice.
+    fn is_stale_connection(&self) -> bool {
+        !self.response_started
+            && matches!(
+                self.error.kind(),
+                io::ErrorKind::UnexpectedEof
+                    | io::ErrorKind::ConnectionReset
+                    | io::ErrorKind::ConnectionAborted
+                    | io::ErrorKind::BrokenPipe
+            )
+    }
+}
+
 /// Write one request and read one response off `stream`. Returns
 /// `(status, body, close, retry_after)` where `close` reports whether the
 /// server ended keep-alive (explicitly, or implicitly by omitting
 /// `Content-Length`) and `retry_after` is the `Retry-After` header in
 /// seconds, if present. Transport failures keep their original
 /// `io::ErrorKind`; malformed responses are `InvalidData`.
-fn exchange(stream: &mut TcpStream, request: &[u8]) -> io::Result<(u16, Json, bool, Option<u64>)> {
+fn exchange(
+    stream: &mut TcpStream,
+    request: &[u8],
+) -> Result<(u16, Json, bool, Option<u64>), ExchangeError> {
+    let mut data = Vec::new();
+    read_response(stream, request, &mut data).map_err(|error| ExchangeError {
+        error,
+        response_started: !data.is_empty(),
+    })
+}
+
+/// The body of [`exchange`]; every response byte read lands in `data`.
+fn read_response(
+    stream: &mut TcpStream,
+    request: &[u8],
+    data: &mut Vec<u8>,
+) -> io::Result<(u16, Json, bool, Option<u64>)> {
     stream.write_all(request)?;
     stream.flush()?;
 
     // Read the head incrementally: under keep-alive we must not read past
     // this response (there is no EOF delimiter any more).
-    let mut data = Vec::new();
     let mut buf = [0u8; 4096];
     let head_end = loop {
         if let Some(pos) = data.windows(4).position(|w| w == b"\r\n\r\n") {
@@ -419,5 +460,76 @@ mod tests {
         assert_eq!(body.get("ok"), Some(&Json::Bool(true)));
         assert!(!close, "keep-alive response must leave the conn reusable");
         server.join().unwrap();
+    }
+
+    /// The server answers one request, then closes the kept-alive
+    /// connection without reading the next: the client resends that
+    /// request on a fresh connection.
+    #[test]
+    fn a_request_the_server_never_read_moves_to_a_fresh_connection() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for stream in listener.incoming().take(2) {
+                let mut peer = stream.unwrap();
+                let mut buf = [0u8; 4096];
+                let _ = peer.read(&mut buf).unwrap();
+                peer.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+                    .unwrap();
+            }
+        });
+        let client = Client::new(addr.to_string());
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+        server.join().unwrap();
+    }
+
+    /// The server answers one request, then closes part-way through the
+    /// response to the next. It has read that request and may have
+    /// applied it, so the client must fail instead of sending it again.
+    #[test]
+    fn a_started_response_is_never_resent() {
+        use std::net::TcpListener;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut connections = 0;
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    connections += 1;
+                    let mut peer = stream.unwrap();
+                    let mut buf = [0u8; 4096];
+                    let _ = peer.read(&mut buf).unwrap();
+                    if connections > 1 {
+                        // A resent request: answer it, so a client that
+                        // resends sees success.
+                        peer.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+                            .unwrap();
+                        continue;
+                    }
+                    peer.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}")
+                        .unwrap();
+                    let _ = peer.read(&mut buf).unwrap();
+                    peer.write_all(b"HTTP/1.1 200 OK\r\nContent-Le").unwrap();
+                }
+                connections
+            })
+        };
+        let client = Client::new(addr.to_string());
+        assert_eq!(client.request("GET", "/healthz", None).unwrap().0, 200);
+        let answer = Json::obj(vec![("kind", Json::str("join"))]);
+        let second = client.request("POST", "/sessions/1/answer", Some(&answer));
+        assert!(second.is_err(), "{second:?}");
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        assert_eq!(server.join().unwrap(), 1, "the request went out twice");
     }
 }

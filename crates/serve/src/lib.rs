@@ -42,20 +42,33 @@
 //! Concurrency: a bounded accept loop feeds a fixed `muse-par` worker pool;
 //! connections are persistent (HTTP/1.1 keep-alive) and parked between
 //! requests on a dedicated poller thread, so an idle connection costs no
-//! worker. The *resident-connection* cap sheds excess load with
-//! `503 + Retry-After` ([`server`]). Request handling is panic-isolated,
-//! budgeted per session via `muse_obs::Budget`, and observable through
-//! `serve.*` metrics and the `serve.accept` / `serve.handle` /
-//! `serve.wal.{open,append,fsync,compact}` / `serve.session.step` fault
-//! points (the storage points accept sticky `io` faults — `x*` in the
-//! plan grammar — which is how the degraded-mode paths are exercised).
+//! worker. The poller blocks in `poll(2)` on every parked socket plus a
+//! wake socket that workers write when they park a connection, so a
+//! parked connection's next request is picked up as soon as it arrives,
+//! with no polling interval. That wait is the crate's one `unsafe` call,
+//! and it makes the crate unix-only. The *resident-connection* cap sheds
+//! excess load with `503 + Retry-After` ([`server`]). Request handling is
+//! panic-isolated, budgeted per session via `muse_obs::Budget`, and
+//! observable through `serve.*` metrics and the `serve.accept` /
+//! `serve.handle` / `serve.wal.{open,append,fsync,compact}` /
+//! `serve.session.step` fault points (the storage points accept sticky
+//! `io` faults — `x*` in the plan grammar — which is how the degraded-mode
+//! paths are exercised).
 //! Identical deterministic probes across sessions are memoized
 //! process-wide (`serve.cache_hits` / `serve.cache_misses`).
+
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+#[cfg(not(unix))]
+compile_error!("muse-serve waits on sockets with poll(2) and builds only on unix");
 
 pub mod client;
 pub mod hist;
 pub mod http;
 pub mod oracle;
+#[allow(unsafe_code)]
+mod poll;
 pub mod proto;
 pub mod server;
 pub mod store;

@@ -8,10 +8,13 @@
 //! to the connection poller, and `threads` items to request workers, all
 //! inside one `muse_par::try_scope_map` call — workers are panic-isolated
 //! exactly like chase units. A worker handles *one* request per dequeue,
-//! then parks the connection; the poller promotes parked connections back
-//! to the ready queue the moment bytes arrive (or drops them on EOF /
-//! idle timeout). An idle keep-alive connection therefore costs no
-//! thread, and `serve.accepts` tracks connections, not requests.
+//! then parks the connection and writes a byte to the poller's wake
+//! socket. The poller blocks in `poll(2)` on the wake socket and every
+//! parked socket, with the nearest idle deadline as its timeout: a socket
+//! that turns readable goes back to the ready queue as soon as its bytes
+//! arrive (or is dropped on EOF), and one past its deadline is closed. An
+//! idle keep-alive connection therefore costs no thread and no periodic
+//! wake-up, and `serve.accepts` tracks connections, not requests.
 //!
 //! Hot-path cost model (the quadratic-resume fix):
 //! - every `snapshot_every` accepted answers the session's rendered state
@@ -36,8 +39,10 @@
 //! worker per retry.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -50,6 +55,7 @@ use muse_wizard::ProbeCache;
 use crate::hist::Hist;
 use crate::http::{self, Request};
 use crate::oracle::Intentions;
+use crate::poll;
 use crate::proto;
 use crate::store::{CtxCache, SessionCfg, SessionStatus, Store};
 use crate::wal::Wal;
@@ -208,11 +214,47 @@ struct ConnShared {
     available: Condvar,
     /// Connections idle between requests, owned by the poller.
     parked: Mutex<Vec<ConnState>>,
+    /// The poller's end of the wake pair: it waits on this next to the
+    /// parked sockets.
+    wake_rx: UnixStream,
+    /// The end [`ConnShared::wake`] writes to.
+    wake_tx: UnixStream,
     accept_done: AtomicBool,
     poller_done: AtomicBool,
     in_flight: AtomicUsize,
     /// Accepted and not yet closed (the `max_connections` gauge).
     conn_count: AtomicUsize,
+}
+
+impl ConnShared {
+    fn new() -> io::Result<ConnShared> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(ConnShared {
+            ready: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            parked: Mutex::new(Vec::new()),
+            wake_rx,
+            wake_tx,
+            accept_done: AtomicBool::new(false),
+            poller_done: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            conn_count: AtomicUsize::new(0),
+        })
+    }
+
+    /// End the poller's current wait. A full socket buffer already holds
+    /// an unread wake, so a failed write loses nothing.
+    fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Empty the wake socket so the next wait blocks until a new wake.
+    fn drain_wakes(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut buf), Ok(n) if n == buf.len()) {}
+    }
 }
 
 /// A bound (and, with a WAL, replayed) session server.
@@ -341,15 +383,7 @@ impl Server {
     /// flight are answered (with `Connection: close`) before workers exit;
     /// idle ones are dropped.
     pub fn run(&self) -> Result<(), String> {
-        let shared = ConnShared {
-            ready: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-            parked: Mutex::new(Vec::new()),
-            accept_done: AtomicBool::new(false),
-            poller_done: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            conn_count: AtomicUsize::new(0),
-        };
+        let shared = ConnShared::new().map_err(|e| format!("poller wake socket: {e}"))?;
         let workers = self.cfg.threads.max(1);
 
         let results =
@@ -423,30 +457,61 @@ impl Server {
         }
         shared.accept_done.store(true, Ordering::Release);
         shared.available.notify_all();
+        // The poller may be waiting out a long idle deadline: the drain
+        // must not.
+        shared.wake();
     }
 
-    /// Watch parked connections: promote the ones with bytes waiting,
-    /// drop the ones the peer closed or that idled out. During a drain,
-    /// parked connections with pending data are promoted so their last
-    /// request gets an answer; the rest are dropped.
+    /// Watch parked connections. Each pass blocks in `poll(2)` on the wake
+    /// socket and every parked socket until a socket turns readable, a
+    /// worker parks another connection, the accept loop exits, or the
+    /// nearest idle deadline passes. Readable sockets are peeked: data
+    /// promotes the connection to the ready queue, EOF drops it. The rest
+    /// only check their idle deadline. During a drain the wait does not
+    /// block: parked connections with pending data are promoted so their
+    /// last request gets an answer, and the rest are dropped.
     fn poller_loop(&self, shared: &ConnShared) {
         let idle_timeout = Duration::from_millis(self.cfg.idle_timeout_ms);
         loop {
-            let draining = self.shutdown.load(Ordering::Acquire);
             let batch: Vec<ConnState> = std::mem::take(&mut *lock(&shared.parked));
+            let timeout = if self.shutdown.load(Ordering::Acquire)
+                || batch.iter().any(|s| s.conn.has_buffered())
+            {
+                Some(Duration::ZERO)
+            } else {
+                // With nothing parked, block until a wake.
+                batch
+                    .iter()
+                    .map(|s| idle_timeout.saturating_sub(s.parked_at.elapsed()))
+                    .min()
+            };
+            let fds: Vec<_> = std::iter::once(shared.wake_rx.as_fd())
+                .chain(batch.iter().map(|s| s.conn.stream().as_fd()))
+                .collect();
+            let ready = poll::wait_readable(&fds, timeout).unwrap_or_else(|_| {
+                // Peek every socket this pass instead.
+                self.metrics.incr("serve.poll_errors");
+                vec![true; fds.len()]
+            });
+            if ready.first() == Some(&true) {
+                shared.drain_wakes();
+            }
+            let draining = self.shutdown.load(Ordering::Acquire);
             let mut keep = Vec::new();
             let mut promoted = 0usize;
-            for state in batch {
+            for (state, ready) in batch.into_iter().zip(ready.into_iter().skip(1)) {
                 let readable = if state.conn.has_buffered() {
                     // A pipelined request is already in the carry buffer.
                     Ok(1)
-                } else {
+                } else if ready {
                     let stream = state.conn.stream();
                     let _ = stream.set_nonblocking(true);
                     let mut byte = [0u8; 1];
                     let r = stream.peek(&mut byte);
                     let _ = stream.set_nonblocking(false);
                     r
+                } else {
+                    Err(io::ErrorKind::WouldBlock.into())
                 };
                 match readable {
                     Ok(0) => {
@@ -486,7 +551,6 @@ impl Server {
             if shared.accept_done.load(Ordering::Acquire) && parked_left == 0 {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(1));
         }
         shared.poller_done.store(true, Ordering::Release);
         shared.available.notify_all();
@@ -606,6 +670,7 @@ impl Server {
                     shared.available.notify_one();
                 } else {
                     lock(&shared.parked).push(state);
+                    shared.wake();
                 }
             } else {
                 shared.conn_count.fetch_sub(1, Ordering::Relaxed);

@@ -1,10 +1,14 @@
 //! End-to-end tests against a live in-process server: interactive and
-//! oracle sessions over real TCP, error statuses, backpressure, and
-//! restart-replay on the same WAL.
+//! oracle sessions over real TCP, error statuses, backpressure,
+//! restart-replay on the same WAL, and the keep-alive connection
+//! lifecycle (round-trip latency, idle timeout, drain, slow and oversized
+//! request heads).
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use muse_obs::{Json, Metrics};
 use muse_serve::{client, proto, Client, Server, ServerConfig};
@@ -19,6 +23,50 @@ fn spawn(cfg: ServerConfig) -> (Client, Arc<Server>, thread::JoinHandle<()>) {
     client::wait_ready(&addr, Duration::from_secs(10)).expect("ready");
     (Client::new(addr), server, handle)
 }
+
+fn counter(metrics: &Json, name: &str) -> i64 {
+    metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_int)
+        .unwrap_or(0)
+}
+
+/// A raw connection to `server`, for requests the [`Client`] would not
+/// send.
+fn raw_conn(server: &Server) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr().unwrap()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+}
+
+/// Read one response with a `Content-Length` off `stream`, leaving the
+/// connection open; returns its head and body as text.
+fn read_one_response(stream: &mut TcpStream) -> String {
+    let mut data = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let text = String::from_utf8_lossy(&data).into_owned();
+        if let Some(head_end) = text.find("\r\n\r\n") {
+            let len: usize = text[..head_end]
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .and_then(|v| v.trim().parse().ok())
+                .expect("Content-Length");
+            if data.len() >= head_end + 4 + len {
+                return text;
+            }
+        }
+        let n = stream.read(&mut buf).expect("read response");
+        assert!(n > 0, "connection closed mid-response: {text}");
+        data.extend_from_slice(&buf[..n]);
+    }
+}
+
+const HEALTHZ: &[u8] = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n";
 
 fn small_cfg(scenario: &str) -> Json {
     Json::obj(vec![
@@ -403,4 +451,151 @@ fn restart_restores_the_incremental_chase_state() {
     client.shutdown().expect("shutdown");
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A parked keep-alive connection's next request is picked up when it
+/// arrives, not at the poller's next scan: back-to-back round trips on one
+/// warm connection cost well under a millisecond.
+#[test]
+fn keepalive_round_trips_are_not_bound_to_a_timer() {
+    let (client, _server, handle) = spawn(ServerConfig::default());
+    client.healthz().expect("warm-up");
+    let mut rtts: Vec<Duration> = (0..101)
+        .map(|_| {
+            let t = Instant::now();
+            client.healthz().expect("healthz");
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    let metrics = client.metrics().expect("metrics");
+    let reuses = counter(&metrics, "serve.keepalive_reuses");
+    assert!(reuses >= 100, "{reuses} keep-alive reuses");
+    assert!(
+        median < Duration::from_micros(500),
+        "median keep-alive round trip {median:?} over 101 requests"
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+/// A parked connection with no next request is closed once its idle
+/// deadline passes, and not before.
+#[test]
+fn an_idle_keepalive_connection_closes_at_its_deadline() {
+    let (client, server, handle) = spawn(ServerConfig {
+        idle_timeout_ms: 100,
+        ..ServerConfig::default()
+    });
+    let mut raw = raw_conn(&server);
+    // Measured from the send, which precedes the server's park: a lower
+    // bound that cannot race the response.
+    let sent = Instant::now();
+    raw.write_all(HEALTHZ).unwrap();
+    let mut data = Vec::new();
+    raw.read_to_end(&mut data)
+        .expect("the server closes the connection");
+    let closed = sent.elapsed();
+    let text = String::from_utf8_lossy(&data);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert!(text.contains("Connection: keep-alive"), "{text}");
+    assert!(
+        closed >= Duration::from_millis(100),
+        "closed after {closed:?}"
+    );
+    assert!(closed <= Duration::from_secs(2), "closed after {closed:?}");
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(
+        counter(&metrics, "serve.idle_closes"),
+        1,
+        "{}",
+        metrics.render()
+    );
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+/// The drain closes idle parked connections at once instead of waiting
+/// out their (here one-minute) idle deadline.
+#[test]
+fn drain_does_not_wait_for_an_idle_deadline() {
+    let (client, server, handle) = spawn(ServerConfig {
+        idle_timeout_ms: 60_000,
+        ..ServerConfig::default()
+    });
+    let mut raw = raw_conn(&server);
+    raw.write_all(HEALTHZ).unwrap();
+    let response = read_one_response(&mut raw);
+    assert!(response.contains("Connection: keep-alive"), "{response}");
+
+    let t = Instant::now();
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "drain took {:?}",
+        t.elapsed()
+    );
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest)
+        .expect("the drain closes the connection");
+    assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
+}
+
+/// A client that stalls half-way through its request head holds one
+/// worker, not the server: with two workers, another connection is served
+/// during the stall, and the slow client is answered once it finishes.
+#[test]
+fn a_stalled_request_head_does_not_block_other_connections() {
+    let (client, server, handle) = spawn(ServerConfig {
+        threads: 2,
+        ..ServerConfig::default()
+    });
+    let stall = Duration::from_millis(300);
+    let mut slow = raw_conn(&server);
+    let (first, rest) = HEALTHZ.split_at(HEALTHZ.len() / 2);
+    slow.write_all(first).unwrap();
+    let stalled = Instant::now();
+    client.healthz().expect("healthz during the stall");
+    assert!(
+        stalled.elapsed() < stall,
+        "healthz took {:?}, longer than the stall",
+        stalled.elapsed()
+    );
+    thread::sleep(stall.saturating_sub(stalled.elapsed()));
+    slow.write_all(rest).unwrap();
+    let response = read_one_response(&mut slow);
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
+/// A request head past the 16 KiB cap is refused with a 400 and the
+/// connection is closed.
+#[test]
+fn an_oversized_request_head_gets_400_and_close() {
+    let (client, server, handle) = spawn(ServerConfig::default());
+    let mut raw = raw_conn(&server);
+    let mut request = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    request.resize(request.len() + 20 * 1024, b'a');
+    request.extend_from_slice(b"\r\n\r\n");
+    raw.write_all(&request).unwrap();
+    // The server closes with the rest of the head unread, so the kernel
+    // may follow the response with a reset; the response bytes come first.
+    let mut data = Vec::new();
+    if let Err(e) = raw.read_to_end(&mut data) {
+        assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}");
+    }
+    let text = String::from_utf8_lossy(&data);
+    assert!(text.starts_with("HTTP/1.1 400 Bad Request"), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(counter(&metrics, "serve.bad_requests"), 1);
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
 }

@@ -22,6 +22,8 @@
 //! playing designer in Sec. VI. [`session`] chains Muse-D and Muse-G into
 //! the full wizard of Sec. V.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod designer;
 pub mod error;

@@ -4,6 +4,8 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub use muse_chase as chase;
 pub use muse_cliogen as cliogen;
 pub use muse_lint as lint;
