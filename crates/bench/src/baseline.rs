@@ -34,8 +34,7 @@ use muse_scenarios::synth::SynthCfg;
 use muse_scenarios::Scenario;
 
 use crate::{
-    ablation_avg_questions, chase_ready_mappings, fig5_cell_with, mused_row_with, scenario_row,
-    Fig5Row,
+    ablation_avg_questions, chase_ready_mappings, mused_row, scenario_row, Fig5Req, Fig5Row,
 };
 
 /// File the sections are merged into (in the current directory).
@@ -197,9 +196,13 @@ pub fn fig5_section(scale: f64, seed: u64, threads: usize) -> Json {
             GroupingStrategy::G2,
             GroupingStrategy::G3,
         ] {
-            let cell = metrics
-                .timer("bench.cell_time")
-                .time(|| fig5_cell_with(s, strategy, scale, seed, &metrics));
+            let cell = metrics.timer("bench.cell_time").time(|| {
+                Fig5Req {
+                    metrics: &metrics,
+                    ..Fig5Req::default()
+                }
+                .run(s, strategy, scale, seed)
+            });
             strategies.push((strategy.to_string(), fig5_json(&cell)));
         }
         (
@@ -224,7 +227,7 @@ pub fn mused_section(scale: f64, seed: u64, threads: usize) -> Json {
         let metrics = Metrics::enabled();
         let row = metrics
             .timer("bench.row_time")
-            .time(|| mused_row_with(s, scale, seed, &metrics));
+            .time(|| mused_row(s, scale, seed, &metrics));
         let body = match row {
             Some(row) => Json::obj(vec![
                 (
@@ -310,7 +313,11 @@ pub fn ablations_section(scale: f64, seed: u64, threads: usize) -> Json {
                 ]),
             ));
         }
-        let g2 = fig5_cell_with(s, GroupingStrategy::G2, scale, seed, &metrics);
+        let g2 = Fig5Req {
+            metrics: &metrics,
+            ..Fig5Req::default()
+        }
+        .run(s, GroupingStrategy::G2, scale, seed);
         let ms = s.mappings().expect("scenario mappings generate");
         let mut decisions = 0usize;
         let mut instances = 0usize;
@@ -410,9 +417,13 @@ pub fn synth_sweep_cell(cfg: &SynthCfg, scale: f64, seed: u64) -> Json {
         .expect("sweep chase")
         .into_value()
     });
-    let row = metrics
-        .timer("bench.wizard_wall_time")
-        .time(|| fig5_cell_with(&s, GroupingStrategy::G1, scale, seed, &metrics));
+    let row = metrics.timer("bench.wizard_wall_time").time(|| {
+        Fig5Req {
+            metrics: &metrics,
+            ..Fig5Req::default()
+        }
+        .run(&s, GroupingStrategy::G1, scale, seed)
+    });
     let snap = metrics.snapshot();
     Json::obj(vec![
         ("source_tuples", Json::Int(inst.total_tuples() as i64)),

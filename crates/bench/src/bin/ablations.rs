@@ -13,7 +13,7 @@
 //! into `BENCH_baseline.json`; `--threads N` or `MUSE_THREADS` runs the
 //! scenarios concurrently).
 
-use muse_bench::{ablation_avg_questions, baseline, env_scale, env_seed, fig5_cell, mused_row};
+use muse_bench::{ablation_avg_questions, baseline, env_scale, env_seed, mused_row, Fig5Req};
 use muse_cliogen::GroupingStrategy;
 use muse_mapping::ambiguity::or_groups;
 use muse_obs::Metrics;
@@ -51,7 +51,7 @@ fn main() {
     println!("== Ablation 2: real-example availability per scenario (strategy G2) ==");
     let scenarios = muse_scenarios::all_scenarios();
     let cells = scope_map(scenarios.len(), threads, &Metrics::disabled(), |i| {
-        fig5_cell(&scenarios[i], GroupingStrategy::G2, scale, seed)
+        Fig5Req::default().run(&scenarios[i], GroupingStrategy::G2, scale, seed)
     });
     for (scenario, cell) in scenarios.iter().zip(cells) {
         println!(
@@ -75,7 +75,8 @@ fn main() {
         if instances == 0 {
             continue;
         }
-        let row = mused_row(&scenario, scale, seed).expect("ambiguous rows");
+        let row =
+            mused_row(&scenario, scale, seed, Metrics::disabled_ref()).expect("ambiguous rows");
         println!(
             "{:<9} {:>4} choice-list decisions vs {:>4} full target instances ({}x fewer); Ie {} tuples",
             scenario.name,

@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use muse_bench::{baseline, env_scale, env_seed, fig5_cell_delta};
+use muse_bench::{baseline, env_scale, env_seed, Fig5Req};
 use muse_chase::DeltaStore;
 use muse_cliogen::GroupingStrategy;
 use muse_obs::{Json, Metrics};
@@ -69,13 +69,19 @@ fn wizard_pass(
     delta: Option<&DeltaStore>,
     metrics: &Metrics,
 ) -> Vec<String> {
+    let req = Fig5Req {
+        metrics,
+        exhaustive,
+        delta,
+        ..Fig5Req::default()
+    };
     let mut rows = Vec::new();
     for strategy in [
         GroupingStrategy::G1,
         GroupingStrategy::G2,
         GroupingStrategy::G3,
     ] {
-        let r = fig5_cell_delta(s, strategy, scale, seed, metrics, true, exhaustive, delta);
+        let r = req.run(s, strategy, scale, seed);
         rows.push(format!(
             "{}/{:?}: poss={:.3} q={:.3} real={:.3} designed={}",
             r.scenario,

@@ -9,7 +9,7 @@
 //! `--json` also merges the results into `BENCH_baseline.json`;
 //! `--threads N` or `MUSE_THREADS` runs the cells concurrently).
 
-use muse_bench::{baseline, env_scale, env_seed, fig5_cell};
+use muse_bench::{baseline, env_scale, env_seed, Fig5Req};
 use muse_cliogen::GroupingStrategy;
 use muse_obs::Metrics;
 use muse_par::scope_map;
@@ -62,7 +62,7 @@ fn main() {
         .collect();
     let cells = scope_map(work.len(), threads, &Metrics::disabled(), |i| {
         let (si, strategy) = work[i];
-        fig5_cell(&scenarios[si], strategy, scale, seed)
+        Fig5Req::default().run(&scenarios[si], strategy, scale, seed)
     });
     for ((_, strategy), cell) in work.iter().zip(&cells) {
         {

@@ -13,7 +13,7 @@
 //! deterministic; rows marked `~` (TPC-H, whose exhaustive legacy search
 //! is combinatorial) fall back to the default deadline budget.
 
-use muse_bench::{baseline, chase_ready_mappings, env_scale, env_seed, fig5_cell_plan_budget};
+use muse_bench::{baseline, chase_ready_mappings, env_scale, env_seed, Fig5Req};
 use muse_cliogen::GroupingStrategy;
 use muse_obs::{Json, Metrics};
 use muse_par::scope_map;
@@ -38,12 +38,18 @@ fn wizard_steps(
     exhaustive: bool,
 ) -> u64 {
     let metrics = Metrics::enabled();
+    let req = Fig5Req {
+        metrics: &metrics,
+        planned,
+        exhaustive,
+        delta: None,
+    };
     for strategy in [
         GroupingStrategy::G1,
         GroupingStrategy::G2,
         GroupingStrategy::G3,
     ] {
-        fig5_cell_plan_budget(s, strategy, scale, seed, &metrics, planned, exhaustive);
+        req.run(s, strategy, scale, seed);
     }
     metrics.snapshot().counter("query.steps")
 }

@@ -34,7 +34,7 @@ fn main() {
     );
     let scenarios = muse_scenarios::all_scenarios();
     let rows = scope_map(scenarios.len(), threads, &Metrics::disabled(), |i| {
-        mused_row(&scenarios[i], scale, seed)
+        mused_row(&scenarios[i], scale, seed, Metrics::disabled_ref())
     });
     for (scenario, row) in scenarios.iter().zip(rows) {
         let Some(row) = row else {

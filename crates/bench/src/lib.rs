@@ -113,156 +113,135 @@ pub fn chase_ready_mappings(scenario: &Scenario) -> Vec<Mapping> {
     ms
 }
 
-/// Run Muse-G over every grouping function of every mapping of `scenario`,
-/// with an oracle designer that has `strategy` in mind, drawing examples
-/// from a generated instance. This regenerates one Fig. 5 row.
-pub fn fig5_cell(
-    scenario: &Scenario,
-    strategy: GroupingStrategy,
-    scale: f64,
-    seed: u64,
-) -> Fig5Row {
-    fig5_cell_with(scenario, strategy, scale, seed, Metrics::disabled_ref())
+/// One Fig. 5 cell run: Muse-G over every grouping function of every
+/// mapping of a scenario, with an oracle designer that has a strategy in
+/// mind, drawing examples from a generated instance. The `Default` request
+/// is the paper's run: metrics off, plan-driven evaluation, the wizard's
+/// own real-example deadline and no incremental chase store.
+#[derive(Clone, Copy)]
+pub struct Fig5Req<'a> {
+    /// The wizard's `query.*`/`chase.*`/`wizard.*` counters and timers.
+    pub metrics: &'a Metrics,
+    /// Plan-driven evaluation (joins ordered and probed per the static
+    /// plans derived from the scenario's source constraints). `false` runs
+    /// the evaluator's own greedy order with single-attribute probes — the
+    /// before/after knob `plan_bench` measures with. Rows are identical
+    /// either way; only the `query.*` work counters move.
+    pub planned: bool,
+    /// Switch the wizard's wall-clock real-example deadline off. The
+    /// default 750 ms deadline makes `query.steps` load-dependent — a slow
+    /// machine truncates more searches and counts fewer steps — so
+    /// `plan_bench`'s legacy/planned comparison runs exhaustive for
+    /// deterministic counts.
+    pub exhaustive: bool,
+    /// An incremental chase store: probe chases rederive unchanged
+    /// bindings from its materialized state instead of re-chasing from
+    /// scratch. Rows (and every question transcript) are identical either
+    /// way; only `chase.steps` vs `chase.rederived` move. Share one store
+    /// across strategies to measure the full cross-probe payoff
+    /// (`delta_bench` does).
+    pub delta: Option<&'a muse_chase::DeltaStore>,
 }
 
-/// [`fig5_cell`] with the wizard's `query.*`/`chase.*`/`wizard.*` counters
-/// and timers recorded into `metrics`. Runs plan-driven (the default
-/// everywhere: joins ordered and probed per the static plans derived from
-/// the scenario's source constraints).
-pub fn fig5_cell_with(
-    scenario: &Scenario,
-    strategy: GroupingStrategy,
-    scale: f64,
-    seed: u64,
-    metrics: &Metrics,
-) -> Fig5Row {
-    fig5_cell_plan(scenario, strategy, scale, seed, metrics, true)
-}
-
-/// [`fig5_cell_with`] with the plan-driven evaluation path switchable:
-/// `planned = false` runs the evaluator's own greedy order with
-/// single-attribute probes (the pre-planner behavior) — the before/after
-/// knob `plan_bench` measures with. Results are identical either way; only
-/// the `query.*` work counters move.
-pub fn fig5_cell_plan(
-    scenario: &Scenario,
-    strategy: GroupingStrategy,
-    scale: f64,
-    seed: u64,
-    metrics: &Metrics,
-    planned: bool,
-) -> Fig5Row {
-    fig5_cell_plan_budget(scenario, strategy, scale, seed, metrics, planned, false)
-}
-
-/// [`fig5_cell_plan`] with the wizard's wall-clock real-example budget
-/// switchable off (`exhaustive = true`). The default 750 ms deadline makes
-/// `query.steps` load-dependent — a slow machine truncates more searches
-/// and counts fewer steps — so `plan_bench`'s legacy/planned comparison
-/// runs exhaustive for deterministic counts.
-#[allow(clippy::too_many_arguments)]
-pub fn fig5_cell_plan_budget(
-    scenario: &Scenario,
-    strategy: GroupingStrategy,
-    scale: f64,
-    seed: u64,
-    metrics: &Metrics,
-    planned: bool,
-    exhaustive: bool,
-) -> Fig5Row {
-    fig5_cell_delta(
-        scenario, strategy, scale, seed, metrics, planned, exhaustive, None,
-    )
-}
-
-/// [`fig5_cell_plan_budget`] with an optional incremental chase store:
-/// probe chases rederive unchanged bindings from `delta`'s materialized
-/// state instead of re-chasing from scratch. Rows (and every question
-/// transcript) are identical either way; only `chase.steps` vs
-/// `chase.rederived` move. Share one store across strategies to measure
-/// the full cross-probe payoff (`delta_bench` does).
-#[allow(clippy::too_many_arguments)]
-pub fn fig5_cell_delta(
-    scenario: &Scenario,
-    strategy: GroupingStrategy,
-    scale: f64,
-    seed: u64,
-    metrics: &Metrics,
-    planned: bool,
-    exhaustive: bool,
-    delta: Option<&muse_chase::DeltaStore>,
-) -> Fig5Row {
-    let instance = scenario.instance(scenario.default_scale * scale, seed);
-    let hints = muse_query::SelectivityHints::from_constraints(
-        &scenario.source_schema,
-        &scenario.source_constraints,
-    );
-    let mut museg = MuseG::new(
-        &scenario.source_schema,
-        &scenario.target_schema,
-        &scenario.source_constraints,
-    )
-    .with_instance(&instance)
-    .with_metrics(metrics);
-    if planned {
-        museg = museg.with_plan_hints(&hints);
-    }
-    if exhaustive {
-        museg.real_example_budget = None;
-    }
-    if let Some(store) = delta {
-        museg = museg.with_delta(store);
-    }
-
-    let mut total_poss = 0usize;
-    let mut total_questions = 0usize;
-    let mut real = 0usize;
-    let mut synthetic = 0usize;
-    let mut example_time = Duration::ZERO;
-    let mut designed = 0usize;
-
-    for mut m in unambiguous_mappings(scenario) {
-        let filled = m
-            .filled_target_sets(&scenario.target_schema)
-            .expect("filled sets resolve");
-        if filled.is_empty() {
-            continue;
-        }
-        // The oracle has the strategy's grouping in mind for every set.
-        let mut oracle = OracleDesigner::new(&scenario.source_schema, &scenario.target_schema);
-        for sk in &filled {
-            let desired = desired_grouping(
-                &m,
-                sk,
-                strategy,
-                &scenario.source_schema,
-                &scenario.target_schema,
-            )
-            .expect("strategy grouping");
-            oracle.intend_grouping(m.name.clone(), sk.clone(), desired);
-        }
-        let outcomes = museg
-            .design_all_groupings(&mut m, &mut oracle)
-            .unwrap_or_else(|e| panic!("{}/{}: {e}", scenario.name, m.name));
-        for o in outcomes {
-            total_poss += o.poss_size;
-            total_questions += o.questions;
-            real += o.real_examples;
-            synthetic += o.synthetic_examples;
-            example_time += o.example_time;
-            designed += 1;
+impl Default for Fig5Req<'_> {
+    fn default() -> Self {
+        Fig5Req {
+            metrics: Metrics::disabled_ref(),
+            planned: true,
+            exhaustive: false,
+            delta: None,
         }
     }
+}
 
-    let examples = (real + synthetic).max(1);
-    Fig5Row {
-        scenario: scenario.name.clone(),
-        strategy,
-        avg_poss: total_poss as f64 / designed.max(1) as f64,
-        avg_questions: total_questions as f64 / designed.max(1) as f64,
-        real_fraction: real as f64 / examples as f64,
-        avg_example_time: example_time / examples as u32,
-        grouping_functions: designed,
+impl Fig5Req<'_> {
+    /// Regenerate the Fig. 5 row of (`scenario`, `strategy`) on the
+    /// instance of `scale` and `seed`.
+    pub fn run(
+        &self,
+        scenario: &Scenario,
+        strategy: GroupingStrategy,
+        scale: f64,
+        seed: u64,
+    ) -> Fig5Row {
+        let Fig5Req {
+            metrics,
+            planned,
+            exhaustive,
+            delta,
+        } = *self;
+        let instance = scenario.instance(scenario.default_scale * scale, seed);
+        let hints = muse_query::SelectivityHints::from_constraints(
+            &scenario.source_schema,
+            &scenario.source_constraints,
+        );
+        let mut museg = MuseG::new(
+            &scenario.source_schema,
+            &scenario.target_schema,
+            &scenario.source_constraints,
+        )
+        .with_instance(&instance)
+        .with_metrics(metrics);
+        if planned {
+            museg = museg.with_plan_hints(&hints);
+        }
+        if exhaustive {
+            museg.real_example_budget = None;
+        }
+        if let Some(store) = delta {
+            museg = museg.with_delta(store);
+        }
+
+        let mut total_poss = 0usize;
+        let mut total_questions = 0usize;
+        let mut real = 0usize;
+        let mut synthetic = 0usize;
+        let mut example_time = Duration::ZERO;
+        let mut designed = 0usize;
+
+        for mut m in unambiguous_mappings(scenario) {
+            let filled = m
+                .filled_target_sets(&scenario.target_schema)
+                .expect("filled sets resolve");
+            if filled.is_empty() {
+                continue;
+            }
+            // The oracle has the strategy's grouping in mind for every set.
+            let mut oracle = OracleDesigner::new(&scenario.source_schema, &scenario.target_schema);
+            for sk in &filled {
+                let desired = desired_grouping(
+                    &m,
+                    sk,
+                    strategy,
+                    &scenario.source_schema,
+                    &scenario.target_schema,
+                )
+                .expect("strategy grouping");
+                oracle.intend_grouping(m.name.clone(), sk.clone(), desired);
+            }
+            let outcomes = museg
+                .design_all_groupings(&mut m, &mut oracle)
+                .unwrap_or_else(|e| panic!("{}/{}: {e}", scenario.name, m.name));
+            for o in outcomes {
+                total_poss += o.poss_size;
+                total_questions += o.questions;
+                real += o.real_examples;
+                synthetic += o.synthetic_examples;
+                example_time += o.example_time;
+                designed += 1;
+            }
+        }
+
+        let examples = (real + synthetic).max(1);
+        Fig5Row {
+            scenario: scenario.name.clone(),
+            strategy,
+            avg_poss: total_poss as f64 / designed.max(1) as f64,
+            avg_questions: total_questions as f64 / designed.max(1) as f64,
+            real_fraction: real as f64 / examples as f64,
+            avg_example_time: example_time / examples as u32,
+            grouping_functions: designed,
+        }
     }
 }
 
@@ -283,15 +262,10 @@ pub struct MuseDRow {
     pub real_examples: usize,
 }
 
-/// Run Muse-D over every ambiguous mapping of `scenario`. Regenerates one
-/// row of the Sec. VI Muse-D table.
-pub fn mused_row(scenario: &Scenario, scale: f64, seed: u64) -> Option<MuseDRow> {
-    mused_row_with(scenario, scale, seed, Metrics::disabled_ref())
-}
-
-/// [`mused_row`] with the wizard's counters and timers recorded into
-/// `metrics`.
-pub fn mused_row_with(
+/// Run Muse-D over every ambiguous mapping of `scenario`, recording the
+/// wizard's counters and timers into `metrics`. Regenerates one row of the
+/// Sec. VI Muse-D table.
+pub fn mused_row(
     scenario: &Scenario,
     scale: f64,
     seed: u64,
@@ -449,26 +423,26 @@ mod tests {
     fn mused_rows_match_paper_counts() {
         let scenarios = muse_scenarios::all_scenarios();
         let mondial = scenarios.iter().find(|s| s.name == "Mondial").unwrap();
-        let row = mused_row(mondial, 0.05, 1).unwrap();
+        let row = mused_row(mondial, 0.05, 1, Metrics::disabled_ref()).unwrap();
         assert_eq!(row.alternatives_encoded, 208);
         assert_eq!(row.questions, 7);
         assert!(row.example_tuples.0 >= 3 && row.example_tuples.1 <= 5);
         assert!(row.ambiguous_values.0 >= 4 && row.ambiguous_values.1 <= 5);
 
         let tpch = scenarios.iter().find(|s| s.name == "TPCH").unwrap();
-        let row = mused_row(tpch, 0.02, 1).unwrap();
+        let row = mused_row(tpch, 0.02, 1, Metrics::disabled_ref()).unwrap();
         assert_eq!(row.alternatives_encoded, 16);
         assert_eq!(row.questions, 1);
 
         let dblp = scenarios.iter().find(|s| s.name == "DBLP").unwrap();
-        assert!(mused_row(dblp, 0.02, 1).is_none());
+        assert!(mused_row(dblp, 0.02, 1, Metrics::disabled_ref()).is_none());
     }
 
     #[test]
     fn fig5_g1_uses_keys_to_cut_questions() {
         let scenarios = muse_scenarios::all_scenarios();
         let dblp = scenarios.iter().find(|s| s.name == "DBLP").unwrap();
-        let cell = fig5_cell(dblp, GroupingStrategy::G1, 0.02, 1);
+        let cell = Fig5Req::default().run(dblp, GroupingStrategy::G1, 0.02, 1);
         // With single keys, G1 concludes after probing the key: far fewer
         // questions than |poss| (paper: 1.5 vs 11).
         assert!(
@@ -484,8 +458,8 @@ mod tests {
     fn fig5_g2_probes_most_attributes() {
         let scenarios = muse_scenarios::all_scenarios();
         let dblp = scenarios.iter().find(|s| s.name == "DBLP").unwrap();
-        let g1 = fig5_cell(dblp, GroupingStrategy::G1, 0.02, 1);
-        let g2 = fig5_cell(dblp, GroupingStrategy::G2, 0.02, 1);
+        let g1 = Fig5Req::default().run(dblp, GroupingStrategy::G1, 0.02, 1);
+        let g2 = Fig5Req::default().run(dblp, GroupingStrategy::G2, 0.02, 1);
         // G2's grouping never contains the key, so many more questions.
         assert!(g2.avg_questions > g1.avg_questions * 2.0);
     }

@@ -32,7 +32,7 @@
 //!    sets the enumeration rank order *is* the `BTreeSet` value order — so
 //!    a `BTreeSet` of greedy-arranged bindings iterates in exactly the
 //!    order the scratch chase fires. Re-firing through the same
-//!    [`engine::fire`] in that order reproduces the scratch target
+//!    `engine::fire` in that order reproduces the scratch target
 //!    byte-for-byte, including `TermStore` null/SetID numbering.
 //!
 //! Counter reconciliation: an incremental chase splits the scratch chase's
@@ -228,10 +228,11 @@ fn to_var_order(greedy: &[usize], b: &[Tuple]) -> Vec<Tuple> {
 }
 
 /// A session-scoped store of materialized chase state, shared by every
-/// probe/partial-target chase of that session (mirror of
-/// [`crate::fingerprint`]'s role for instances: pure cache, zero effect on
-/// results). Cheap to create; `Mutex`-protected so `serve` can hang one off
-/// a session entry shared across request threads.
+/// probe/partial-target chase of that session (mirror of the
+/// [`fingerprint`](mod@crate::fingerprint) module's role for instances:
+/// pure cache, zero effect on results). Cheap to create; `Mutex`-protected
+/// so `serve` can hang one off a session entry shared across request
+/// threads.
 pub struct DeltaStore {
     inner: Mutex<HashMap<String, Vec<MappingState>>>,
 }
@@ -363,15 +364,7 @@ impl DeltaStore {
         cur: Vec<BTreeSet<Tuple>>,
     ) -> Result<Option<MappingState>, ChaseError> {
         let metrics = req.metrics;
-        let plan = engine::mapping_plan(source_schema, q, req.hints);
-        let bindings = match muse_query::evaluate_all_planned_with(
-            source_schema,
-            source,
-            q,
-            plan.as_ref(),
-            req.budget,
-            metrics,
-        )? {
+        let bindings = match req.eval_req().run(source_schema, source, q)? {
             Outcome::Complete(b) => b,
             Outcome::Truncated { .. } => return Ok(None),
         };

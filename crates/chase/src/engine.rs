@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use muse_mapping::{Mapping, PathRef, WhereClause};
 use muse_nr::{Instance, Schema, SetPath, Tuple, Value};
 use muse_obs::{faultpoints, Budget, Counter, Metrics, Outcome, TruncationReason};
-use muse_query::{evaluate_all_planned_with, plan_query, EvalPlan, SelectivityHints};
+use muse_query::{EvalReq, SelectivityHints};
 
 use crate::delta::DeltaStore;
 use crate::error::ChaseError;
@@ -148,9 +148,9 @@ pub struct ChaseReq<'a> {
     /// `budget.*`.
     pub budget: &'a Budget,
     /// Source selectivity hints: when given, every mapping's `for`-clause
-    /// enumeration runs under a static [`EvalPlan`] (key-aware join order
-    /// and composite hash probes — identical bindings, identical target,
-    /// far fewer `query.steps`; see [`muse_query::plan`]).
+    /// enumeration is planned by the evaluator ([`EvalReq::hints`]:
+    /// key-aware join order and composite hash probes — identical
+    /// bindings, identical target, far fewer `query.steps`).
     pub hints: Option<&'a SelectivityHints>,
     /// Incremental-chase state: a one-mapping request is answered from the
     /// store when its eligibility rules hold ([`crate::delta`]); any other
@@ -170,7 +170,18 @@ impl Default for ChaseReq<'_> {
     }
 }
 
-impl ChaseReq<'_> {
+impl<'a> ChaseReq<'a> {
+    /// The evaluation request every `for`-clause enumeration of this chase
+    /// runs under: the chase's metrics, budget and hints, no row limit.
+    pub(crate) fn eval_req(&self) -> EvalReq<'a> {
+        EvalReq {
+            metrics: self.metrics,
+            budget: self.budget,
+            hints: self.hints,
+            limit: None,
+        }
+    }
+
     /// Chase `source` with `mappings` under this request. Without a budget
     /// limit (or an injected fault) the outcome is always
     /// [`Outcome::Complete`].
@@ -230,16 +241,10 @@ impl ChaseReq<'_> {
             metrics, budget, ..
         } = *self;
         let p = prepare(source_schema, target_schema, m, metrics)?;
-        let q = m.source_query();
-        let plan = mapping_plan(source_schema, &q, self.hints);
-        let bindings = match evaluate_all_planned_with(
-            source_schema,
-            source,
-            &q,
-            plan.as_ref(),
-            budget,
-            metrics,
-        )? {
+        let bindings = match self
+            .eval_req()
+            .run(source_schema, source, &m.source_query())?
+        {
             Outcome::Complete(b) => b,
             // The enumeration itself was cut short (already recorded by the
             // query layer); firing a truncated binding set would produce an
@@ -277,18 +282,6 @@ impl ChaseReq<'_> {
         }
         Ok(None)
     }
-}
-
-/// Resolve the static evaluation plan for one mapping's `for`-clause, if
-/// selectivity hints are available. Planning failures are deliberately
-/// swallowed (`None` → the evaluator's own greedy order): a plan is an
-/// optimization, never a prerequisite.
-pub(crate) fn mapping_plan(
-    source_schema: &Schema,
-    q: &muse_query::Query,
-    hints: Option<&SelectivityHints>,
-) -> Option<EvalPlan> {
-    hints.and_then(|h| plan_query(source_schema, q, Some(h)).ok())
 }
 
 /// Tiny union-find over target `(var, attr)` projections.

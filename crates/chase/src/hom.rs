@@ -42,7 +42,7 @@ pub fn homomorphically_equivalent(a: &Instance, b: &Instance) -> bool {
 /// One-to-one homomorphisms exist in both directions. For finite instances
 /// with injective value mappings this coincides with isomorphism.
 ///
-/// A fingerprint comparison ([`crate::fingerprint`]) decides the (common)
+/// A fingerprint comparison ([`crate::fingerprint()`]) decides the (common)
 /// negative case without any search.
 pub fn isomorphic(a: &Instance, b: &Instance) -> bool {
     isomorphic_with(a, b, &Metrics::disabled())

@@ -87,7 +87,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 }
                 opts.cfg.recovery_probe_ms = ms;
             }
-            "--no-keep-alive" => opts.cfg.keep_alive = false,
             other => return Err(format!("unknown flag `{other}` for muse serve")),
         }
         i += 1;
@@ -107,7 +106,7 @@ pub fn run(args: &[String]) -> i32 {
                  [--snapshot-every N] [--wal-compact-bytes N] \
                  [--idle-timeout-ms N] [--conn-requests N] \
                  [--probe-cache N] [--panic-quarantine N] \
-                 [--recovery-probe-ms N] [--no-keep-alive]"
+                 [--recovery-probe-ms N]"
             );
             return 2;
         }

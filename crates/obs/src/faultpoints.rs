@@ -12,7 +12,9 @@
 //! legal at any registered point; each site maps them onto its own budget
 //! truncation path.
 
-/// Query evaluation entry (`evaluate_budget_with`). Deadline faults only.
+/// Query evaluation entry (`EvalReq::run`): the chase's `for`-clause
+/// enumerations, `QIe` and the instance-only analysis. Any fault here
+/// behaves as an expired deadline.
 pub const QUERY_EVAL: &str = "query.eval";
 
 /// The chase binding loop, checked once per firing.
@@ -33,17 +35,13 @@ pub const SERVE_ACCEPT: &str = "serve.accept";
 /// request with `503` before it touches any session state.
 pub const SERVE_HANDLE: &str = "serve.handle";
 
-/// One write-ahead-log append in the session server (legacy alias of
-/// [`SERVE_WAL_APPEND`], kept so existing specs keep parsing). A fault
-/// fails the append, which sheds the mutating request with
+/// One write-ahead-log frame append, checked before any byte is written.
+/// A fault fails the append, which sheds the mutating request with
 /// `503 + Retry-After` and flips the server into degraded mode; the
 /// in-memory session is rolled back, so nothing unacknowledged survives.
-pub const SERVE_WAL: &str = "serve.wal";
-
-/// One write-ahead-log frame append, checked before any byte is written.
 /// A sticky `io` fault here models a permanently dead disk: every mutation
-/// sheds with `503 + Retry-After` until the fault clears and the recovery
-/// probe restores `healthy`.
+/// sheds until the fault clears and the recovery probe restores
+/// `healthy`.
 pub const SERVE_WAL_APPEND: &str = "serve.wal.append";
 
 /// The flush/fsync step of a WAL append, checked after the frame bytes
@@ -76,7 +74,6 @@ pub const ALL: &[&str] = &[
     WIZARD_PROBE,
     SERVE_ACCEPT,
     SERVE_HANDLE,
-    SERVE_WAL,
     SERVE_WAL_APPEND,
     SERVE_WAL_FSYNC,
     SERVE_WAL_COMPACT,
@@ -92,7 +89,6 @@ pub const PANIC_ISOLATED: &[&str] = &[PAR_WORKER, SERVE_SESSION_STEP];
 /// `io` faults (the site translates them into an `io::Error` on its own
 /// fail-degraded path).
 pub const IO_CAPABLE: &[&str] = &[
-    SERVE_WAL,
     SERVE_WAL_APPEND,
     SERVE_WAL_FSYNC,
     SERVE_WAL_COMPACT,

@@ -1,13 +1,20 @@
 //! Backtracking evaluation of conjunctive queries with lazy hash indexes.
 //!
+//! There is one entry point, [`EvalReq::run`]. Everything that varies
+//! between callers — metrics, a budget, planner hints, a row limit — is a
+//! field of the [`EvalReq`], and its `Default` is the plain evaluation.
+//!
 //! Instrumentation (all behind [`Metrics`], zero-cost when disabled):
 //!
 //! * `query.evals` — evaluation operations started,
 //! * `query.steps` — backtracking search steps,
+//! * `query.steps_limited` — the share of `query.steps` spent by searches
+//!   with a row limit,
 //! * `query.index_hits` / `query.index_misses` — lazy hash-index cache
 //!   probes that found / had to build an index,
 //! * `query.timeouts` — evaluations cut short by their deadline,
-//! * `query.eval_time` — wall-clock spans per evaluation.
+//! * `query.eval_time` — wall-clock spans per evaluation,
+//! * `budget.*` — truncations (see [`muse_obs::budget`]).
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -18,54 +25,154 @@ use muse_obs::{faultpoints, Budget, Counter, Metrics, Outcome, TruncationReason}
 
 use crate::ast::{Operand, QVar, Query};
 use crate::error::QueryError;
-use crate::explain::{Access, Explanation, Step};
-use crate::plan::EvalPlan;
+use crate::hints::SelectivityHints;
+use crate::plan::{plan_query, EvalPlan};
 
 /// One result row: a tuple per query variable, in variable order.
 pub type Binding = Vec<Tuple>;
 
-/// Evaluate `query` over `inst`, returning at most `limit` bindings (all of
-/// them when `limit` is `None`). Bindings are returned in a deterministic
-/// order (the ordered containers of [`Instance`] drive iteration).
-pub fn evaluate(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    limit: Option<usize>,
-) -> Result<Vec<Binding>, QueryError> {
-    evaluate_deadline(schema, inst, query, limit, None).map(|(rows, _)| rows)
+/// One query evaluation. Rows come back in a deterministic order (the
+/// ordered containers of [`Instance`] drive iteration) that no field of
+/// the request changes: hints and budgets change how the search runs and
+/// where it stops, never which rows it emits first.
+///
+/// ```
+/// use muse_nr::{Field, InstanceBuilder, Schema, SetPath, Ty, Value};
+/// use muse_obs::{Budget, Metrics, TruncationReason};
+/// use muse_query::{EvalReq, Query};
+///
+/// let schema = Schema::new(
+///     "S",
+///     vec![Field::new("A", Ty::set_of(vec![Field::new("x", Ty::Int)]))],
+/// )
+/// .unwrap();
+/// let mut b = InstanceBuilder::new(&schema);
+/// for x in 0..3 {
+///     b.push_top("A", vec![Value::int(x)]);
+/// }
+/// let inst = b.finish().unwrap();
+/// let mut q = Query::new();
+/// q.var("a", SetPath::parse("A"));
+///
+/// let all = EvalReq::default().run(&schema, &inst, &q).unwrap();
+/// assert_eq!(all.into_value().len(), 3);
+///
+/// let metrics = Metrics::enabled();
+/// let budget = Budget::unlimited().with_max_rows(2);
+/// let req = EvalReq { metrics: &metrics, budget: &budget, ..EvalReq::default() };
+/// let out = req.run(&schema, &inst, &q).unwrap();
+/// assert_eq!(out.reason(), Some(TruncationReason::RowLimit));
+/// assert_eq!(out.value().len(), 2);
+/// assert_eq!(metrics.snapshot().counter("budget.row_limit_hits"), 1);
+/// ```
+#[derive(Clone, Copy)]
+pub struct EvalReq<'a> {
+    /// Counters and timers (see the module docs for the keys).
+    pub metrics: &'a Metrics,
+    /// Governs the search: its deadline is checked every 1024 search
+    /// steps and its `max_rows` caps the rows returned. Either one cutting
+    /// the search short returns [`Outcome::Truncated`] with the rows found
+    /// so far — always a prefix of the complete result — and records the
+    /// truncation under `budget.*`. `QIe` carries its real-example deadline
+    /// here, to fall back to a synthetic example "if a real example was
+    /// not found after a fixed amount of time" (Sec. VI).
+    pub budget: &'a Budget,
+    /// Source selectivity hints. When given, the evaluator plans the query
+    /// ([`plan_query`]) and probes a composite hash index on every
+    /// equality bound at each position instead of a single attribute; an
+    /// unlimited search without a deadline also binds variables in plan
+    /// order and restores the plan-less emission order by rank-sorting.
+    /// Same rows in the same order, far fewer `query.steps`. A query the
+    /// planner rejects runs plan-less.
+    pub hints: Option<&'a SelectivityHints>,
+    /// Return at most this many rows. Reaching it is a complete answer,
+    /// not a truncation: only the budget's own axes truncate.
+    pub limit: Option<usize>,
 }
 
-/// Like [`evaluate`], with an optional wall-clock deadline. Returns the
-/// bindings found so far plus a flag telling whether the search was cut
-/// short — Muse uses this to fall back to a synthetic example "if a real
-/// example was not found after a fixed amount of time" (Sec. VI).
-pub fn evaluate_deadline(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    limit: Option<usize>,
-    deadline: Option<Instant>,
-) -> Result<(Vec<Binding>, bool), QueryError> {
-    evaluate_deadline_with(schema, inst, query, limit, deadline, &Metrics::disabled())
+impl Default for EvalReq<'_> {
+    fn default() -> Self {
+        EvalReq {
+            metrics: Metrics::disabled_ref(),
+            budget: Budget::unlimited_ref(),
+            hints: None,
+            limit: None,
+        }
+    }
 }
 
-/// Like [`evaluate_deadline`], reporting counters and timings through
-/// `metrics` (see the module docs for the emitted keys).
-pub fn evaluate_deadline_with(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    limit: Option<usize>,
-    deadline: Option<Instant>,
-    metrics: &Metrics,
-) -> Result<(Vec<Binding>, bool), QueryError> {
-    evaluate_planned_with(schema, inst, query, None, limit, deadline, metrics)
+impl EvalReq<'_> {
+    /// Evaluate `query` over `inst` under this request. Without a budget
+    /// limit (or an injected `query.eval` fault, which behaves as an
+    /// expired deadline) the outcome is always [`Outcome::Complete`].
+    pub fn run(
+        &self,
+        schema: &Schema,
+        inst: &Instance,
+        query: &Query,
+    ) -> Result<Outcome<Vec<Binding>>, QueryError> {
+        let EvalReq {
+            metrics,
+            budget,
+            hints,
+            limit,
+        } = *self;
+        if muse_fault::point(faultpoints::QUERY_EVAL).is_some() {
+            let reason = TruncationReason::DeadlineExpired;
+            reason.record(metrics);
+            return Ok(Outcome::Truncated {
+                partial: Vec::new(),
+                reason,
+            });
+        }
+        // A plan is an optimization, never a prerequisite: planning
+        // failures fall back to the evaluator's own greedy order.
+        let plan = hints.and_then(|h| plan_query(schema, query, Some(h)).ok());
+        let budget_rows = budget
+            .max_rows
+            .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+        let eff_limit = match (limit, budget_rows) {
+            (Some(l), Some(cap)) => Some(l.min(cap)),
+            (l, cap) => l.or(cap),
+        };
+        let (rows, timed_out) = enumerate(
+            schema,
+            inst,
+            query,
+            plan.as_ref(),
+            eff_limit,
+            budget.deadline,
+            metrics,
+        )?;
+        if timed_out {
+            let reason = TruncationReason::DeadlineExpired;
+            reason.record(metrics);
+            return Ok(Outcome::Truncated {
+                partial: rows,
+                reason,
+            });
+        }
+        // The budget's cap (strictly tighter than any caller limit) stopped a
+        // search that might have produced more rows.
+        let budget_capped =
+            budget_rows.is_some_and(|cap| rows.len() >= cap && limit.is_none_or(|l| cap < l));
+        if budget_capped {
+            let reason = TruncationReason::RowLimit;
+            reason.record(metrics);
+            return Ok(Outcome::Truncated {
+                partial: rows,
+                reason,
+            });
+        }
+        Ok(Outcome::Complete(rows))
+    }
 }
 
-/// Like [`evaluate_deadline_with`], optionally driven by a static
-/// [`EvalPlan`] (see [`crate::plan`]). A plan changes *how* the search
-/// runs, never *what* it returns:
+/// The search behind [`EvalReq::run`]: at most `limit` rows, cut short at
+/// `deadline`, driven by `ext_plan` when given. Returns the rows plus
+/// whether the deadline cut the search short.
+///
+/// A plan changes *how* the search runs, never *what* it returns:
 ///
 /// * at every position the search probes a composite hash index on all
 ///   equality attributes bound at that point (the plan-less path probes a
@@ -77,7 +184,7 @@ pub fn evaluate_deadline_with(
 ///
 /// A plan that does not fit `query` (wrong arity, not a permutation,
 /// children before parents) is ignored.
-pub fn evaluate_planned_with(
+fn enumerate(
     schema: &Schema,
     inst: &Instance,
     query: &Query,
@@ -151,121 +258,10 @@ pub fn evaluate_planned_with(
     Ok((out, timed_out))
 }
 
-/// Evaluate with no limit.
-pub fn evaluate_all(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-) -> Result<Vec<Binding>, QueryError> {
-    evaluate(schema, inst, query, None)
-}
-
-/// Budget-governed [`evaluate_all`]: the variant multi-query callers (chase
-/// prepare, wizard probes) use so they stop bypassing the deadline path.
-/// Honors the budget's deadline and row cap; truncations are recorded under
-/// `budget.*` and returned as [`Outcome::Truncated`] with the rows found so
-/// far (always a valid prefix of the complete result).
-pub fn evaluate_all_with(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Vec<Binding>>, QueryError> {
-    evaluate_budget_with(schema, inst, query, None, budget, metrics)
-}
-
-/// Plan-driven [`evaluate_all_with`]: same contract, with the search driven
-/// by `plan` when given (see [`evaluate_planned_with`] for the identical-
-/// results guarantee).
-pub fn evaluate_all_planned_with(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    plan: Option<&EvalPlan>,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Vec<Binding>>, QueryError> {
-    evaluate_budget_planned_with(schema, inst, query, plan, None, budget, metrics)
-}
-
-/// Budget-governed evaluation with an optional caller-side row `limit` on
-/// top. The caller's limit is *not* a truncation — asking for the first
-/// `l` rows and getting them is a complete answer; only the budget's own
-/// axes (deadline, `max_rows`) produce [`Outcome::Truncated`].
-pub fn evaluate_budget_with(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    limit: Option<usize>,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Vec<Binding>>, QueryError> {
-    evaluate_budget_planned_with(schema, inst, query, None, limit, budget, metrics)
-}
-
-/// Plan-driven [`evaluate_budget_with`].
-pub fn evaluate_budget_planned_with(
-    schema: &Schema,
-    inst: &Instance,
-    query: &Query,
-    plan: Option<&EvalPlan>,
-    limit: Option<usize>,
-    budget: &Budget,
-    metrics: &Metrics,
-) -> Result<Outcome<Vec<Binding>>, QueryError> {
-    if muse_fault::point(faultpoints::QUERY_EVAL).is_some() {
-        // Any injected fault here behaves as instantaneous deadline expiry.
-        let reason = TruncationReason::DeadlineExpired;
-        reason.record(metrics);
-        return Ok(Outcome::Truncated {
-            partial: Vec::new(),
-            reason,
-        });
-    }
-    let budget_rows = budget
-        .max_rows
-        .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
-    let eff_limit = match (limit, budget_rows) {
-        (Some(l), Some(cap)) => Some(l.min(cap)),
-        (l, cap) => l.or(cap),
-    };
-    let (rows, timed_out) = evaluate_planned_with(
-        schema,
-        inst,
-        query,
-        plan,
-        eff_limit,
-        budget.deadline,
-        metrics,
-    )?;
-    if timed_out {
-        let reason = TruncationReason::DeadlineExpired;
-        reason.record(metrics);
-        return Ok(Outcome::Truncated {
-            partial: rows,
-            reason,
-        });
-    }
-    // The budget's cap (strictly tighter than any caller limit) stopped a
-    // search that might have produced more rows.
-    let budget_capped =
-        budget_rows.is_some_and(|cap| rows.len() >= cap && limit.is_none_or(|l| cap < l));
-    if budget_capped {
-        let reason = TruncationReason::RowLimit;
-        reason.record(metrics);
-        return Ok(Outcome::Truncated {
-            partial: rows,
-            reason,
-        });
-    }
-    Ok(Outcome::Complete(rows))
-}
-
 /// The greedy binding order the evaluator uses for `query` — the order in
 /// which emitted bindings are lexicographically sorted by per-variable
-/// enumeration rank (even under an external [`EvalPlan`], whose reorder pass
-/// restores exactly this order). The score is purely structural (predicates,
+/// enumeration rank (even under a hinted plan, whose reorder pass restores
+/// exactly this order). The score is purely structural (predicates,
 /// parent placement, declaration order), never instance data, so the order
 /// is identical across all instances of the same query — which is what lets
 /// the incremental chase reconstruct the evaluator's emission order from a
@@ -527,45 +523,6 @@ impl Plan {
     }
 }
 
-/// Build the plan and summarize it for [`crate::explain::explain`].
-pub(crate) fn plan_summary(schema: &Schema, query: &Query) -> Result<Explanation, QueryError> {
-    let plan = Plan::build(schema, query)?;
-    let mut steps = Vec::with_capacity(plan.order.len());
-    for (pos, &v) in plan.order.iter().enumerate() {
-        let qv = &query.vars[v];
-        let access = if let Some((pvar, _)) = plan.parent_field_idx[v] {
-            Access::Parent {
-                of: query.vars[pvar].name.clone(),
-                field: qv
-                    .parent
-                    .as_ref()
-                    .expect("child var has a parent")
-                    .1
-                    .clone(),
-            }
-        } else if let Some((attr_idx, _)) = plan.lookup_at[pos].first() {
-            let rcd = schema
-                .element_record(&qv.set)
-                .map_err(|_| QueryError::UnknownSet(qv.set.to_string()))?;
-            let label = rcd
-                .rcd_fields()
-                .and_then(|fs| fs.get(*attr_idx))
-                .map(|f| f.label.clone())
-                .unwrap_or_default();
-            Access::IndexLookup { attr: label }
-        } else {
-            Access::FullScan
-        };
-        steps.push(Step {
-            var: qv.name.clone(),
-            set: qv.set.to_string(),
-            access,
-            checks: plan.checks_at[pos].len(),
-        });
-    }
-    Ok(Explanation { steps })
-}
-
 fn connectivity_score(v: usize, placed: &[bool], a: &Op, b: &Op) -> i64 {
     let involves = |op: &Op| op.max_var() == Some(v);
     let other_bound = |op: &Op| match op.max_var() {
@@ -586,7 +543,7 @@ fn connectivity_score(v: usize, placed: &[bool], a: &Op, b: &Op) -> i64 {
 type AttrIndex<'a> = HashMap<Vec<Value>, Rc<Vec<&'a Tuple>>>;
 
 /// Rank bookkeeping for restoring the legacy emission order after a
-/// plan-ordered exhaustive search (see [`evaluate_planned_with`]).
+/// plan-ordered exhaustive search (see [`enumerate`]).
 struct Reorder {
     /// The greedy (legacy) binding order whose emission order we restore.
     emit_order: Vec<usize>,
@@ -791,6 +748,10 @@ mod tests {
     use crate::ast::Operand;
     use muse_nr::{Field, InstanceBuilder, Ty};
 
+    fn all(s: &Schema, i: &Instance, q: &Query) -> Vec<Binding> {
+        EvalReq::default().run(s, i, q).unwrap().into_value()
+    }
+
     fn compdb() -> Schema {
         Schema::new(
             "CompDB",
@@ -853,7 +814,7 @@ mod tests {
         let i = fig2(&s);
         let mut q = Query::new();
         q.var("c", SetPath::parse("Companies"));
-        let rows = evaluate_all(&s, &i, &q).unwrap();
+        let rows = all(&s, &i, &q);
         assert_eq!(rows.len(), 2);
     }
 
@@ -867,7 +828,7 @@ mod tests {
         let e = q.var("e", SetPath::parse("Employees"));
         q.add_eq(Operand::proj(p, "cid"), Operand::proj(c, "cid"));
         q.add_eq(Operand::proj(e, "eid"), Operand::proj(p, "manager"));
-        let rows = evaluate_all(&s, &i, &q).unwrap();
+        let rows = all(&s, &i, &q);
         // Both projects belong to IBM; managers e14 and e15.
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -883,7 +844,7 @@ mod tests {
         let mut q = Query::new();
         let c = q.var("c", SetPath::parse("Companies"));
         q.add_eq(Operand::proj(c, "cname"), Operand::Const(Value::str("SBC")));
-        let rows = evaluate_all(&s, &i, &q).unwrap();
+        let rows = all(&s, &i, &q);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0][0], Value::int(112));
     }
@@ -897,7 +858,7 @@ mod tests {
         let c1 = q.var("c1", SetPath::parse("Companies"));
         let c2 = q.var("c2", SetPath::parse("Companies"));
         q.add_neq(Operand::proj(c1, "cid"), Operand::proj(c2, "cid"));
-        let rows = evaluate_all(&s, &i, &q).unwrap();
+        let rows = all(&s, &i, &q);
         assert_eq!(rows.len(), 2); // (111,112) and (112,111)
     }
 
@@ -907,7 +868,11 @@ mod tests {
         let i = fig2(&s);
         let mut q = Query::new();
         q.var("e", SetPath::parse("Employees"));
-        let rows = evaluate(&s, &i, &q, Some(2)).unwrap();
+        let req = EvalReq {
+            limit: Some(2),
+            ..EvalReq::default()
+        };
+        let rows = req.run(&s, &i, &q).unwrap().into_value();
         assert_eq!(rows.len(), 2);
     }
 
@@ -921,7 +886,7 @@ mod tests {
             Operand::proj(c, "cname"),
             Operand::Const(Value::str("Acme")),
         );
-        assert!(evaluate_all(&s, &i, &q).unwrap().is_empty());
+        assert!(all(&s, &i, &q).is_empty());
     }
 
     #[test]
@@ -929,7 +894,7 @@ mod tests {
         let s = compdb();
         let i = fig2(&s);
         let q = Query::new();
-        assert_eq!(evaluate_all(&s, &i, &q).unwrap(), vec![Vec::<Tuple>::new()]);
+        assert_eq!(all(&s, &i, &q), vec![Vec::<Tuple>::new()]);
     }
 
     #[test]
@@ -959,7 +924,7 @@ mod tests {
         let o = q.var("o", SetPath::parse("Orgs"));
         let p = q.child_var("p", o, "Projects");
         q.add_eq(Operand::proj(o, "oname"), Operand::Const(Value::str("IBM")));
-        let rows = evaluate_all(&schema, &inst, &q).unwrap();
+        let rows = all(&schema, &inst, &q);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert_eq!(r[o][0], Value::str("IBM"));
@@ -975,8 +940,8 @@ mod tests {
         let c1 = q.var("c1", SetPath::parse("Companies"));
         let c2 = q.var("c2", SetPath::parse("Companies"));
         q.add_eq(Operand::proj(c1, "cname"), Operand::proj(c2, "cname"));
-        let a = evaluate_all(&s, &i, &q).unwrap();
-        let b = evaluate_all(&s, &i, &q).unwrap();
+        let a = all(&s, &i, &q);
+        let b = all(&s, &i, &q);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2); // each company matches itself
     }
@@ -1012,13 +977,13 @@ mod tests {
         let e = q.var("e", SetPath::parse("Employees"));
         q.add_eq(Operand::proj(p, "cid"), Operand::proj(c, "cid"));
         q.add_eq(Operand::proj(e, "eid"), Operand::proj(p, "manager"));
-        let rows = evaluate_all(&s, &inst, &q).unwrap();
+        let rows = all(&s, &inst, &q);
         assert_eq!(rows.len(), 500);
     }
 
     #[test]
     fn planned_eval_matches_reference_byte_for_byte() {
-        use crate::plan::{EvalPlan, PlanStep};
+        use crate::plan::PlanStep;
 
         let s = compdb();
         let mut b = InstanceBuilder::new(&s);
@@ -1053,7 +1018,7 @@ mod tests {
         q.add_eq(Operand::proj(e, "eid"), Operand::proj(p, "manager"));
         q.add_neq(Operand::proj(c, "cname"), Operand::Const(Value::str("c0")));
 
-        let reference = evaluate_all(&s, &inst, &q).unwrap();
+        let reference = all(&s, &inst, &q);
         // Every parent-respecting permutation must reproduce the reference
         // rows in the reference order.
         for order in [[c, p, e], [e, p, c], [p, c, e], [p, e, c], [c, e, p]] {
@@ -1068,17 +1033,19 @@ mod tests {
                     .collect(),
             };
             let m = Metrics::disabled();
-            let (rows, timed_out) =
-                evaluate_planned_with(&s, &inst, &q, Some(&plan), None, None, &m).unwrap();
+            let (rows, timed_out) = enumerate(&s, &inst, &q, Some(&plan), None, None, &m).unwrap();
             assert!(!timed_out);
             assert_eq!(rows, reference, "order {order:?} diverged");
         }
         // Limited searches keep the legacy order: identical prefixes.
-        let plan = crate::plan::plan_query(&s, &q, None).unwrap();
+        let hints = SelectivityHints::default();
         for limit in [1, 3, 7] {
-            let m = Metrics::disabled();
-            let (rows, _) =
-                evaluate_planned_with(&s, &inst, &q, Some(&plan), Some(limit), None, &m).unwrap();
+            let req = EvalReq {
+                hints: Some(&hints),
+                limit: Some(limit),
+                ..EvalReq::default()
+            };
+            let rows = req.run(&s, &inst, &q).unwrap().into_value();
             assert_eq!(rows.as_slice(), &reference[..limit.min(reference.len())]);
         }
     }
@@ -1116,14 +1083,19 @@ mod tests {
         q.add_eq(Operand::proj(p, "manager"), Operand::proj(c, "cname"));
 
         let m_ref = Metrics::enabled();
-        let reference = evaluate_deadline_with(&s, &inst, &q, None, None, &m_ref)
-            .unwrap()
-            .0;
-        let plan = crate::plan::plan_query(&s, &q, None).unwrap();
+        let plain = EvalReq {
+            metrics: &m_ref,
+            ..EvalReq::default()
+        };
+        let reference = plain.run(&s, &inst, &q).unwrap().into_value();
+        let hints = SelectivityHints::default();
         let m_plan = Metrics::enabled();
-        let rows = evaluate_planned_with(&s, &inst, &q, Some(&plan), None, None, &m_plan)
-            .unwrap()
-            .0;
+        let planned = EvalReq {
+            metrics: &m_plan,
+            hints: Some(&hints),
+            ..EvalReq::default()
+        };
+        let rows = planned.run(&s, &inst, &q).unwrap().into_value();
         assert_eq!(rows, reference);
         let (ref_steps, plan_steps) = (
             m_ref.snapshot().counter("query.steps"),
@@ -1143,7 +1115,12 @@ mod tests {
         q.var("e", SetPath::parse("Employees"));
         let m = Metrics::enabled();
         let budget = Budget::unlimited().with_max_rows(2);
-        let out = evaluate_all_with(&s, &i, &q, &budget, &m).unwrap();
+        let req = EvalReq {
+            metrics: &m,
+            budget: &budget,
+            ..EvalReq::default()
+        };
+        let out = req.run(&s, &i, &q).unwrap();
         assert_eq!(out.reason(), Some(TruncationReason::RowLimit));
         assert_eq!(out.value().len(), 2);
         let snap = m.snapshot();
@@ -1157,25 +1134,30 @@ mod tests {
         let i = fig2(&s);
         let mut q = Query::new();
         q.var("e", SetPath::parse("Employees"));
-        let m = Metrics::disabled();
+        let run = |budget: &Budget, limit: Option<usize>| {
+            let req = EvalReq {
+                budget,
+                limit,
+                ..EvalReq::default()
+            };
+            req.run(&s, &i, &q).unwrap()
+        };
         // Caller asks for 2 rows under a looser (or equal) budget: complete.
         for budget in [
             Budget::unlimited(),
             Budget::unlimited().with_max_rows(2),
             Budget::unlimited().with_max_rows(10),
         ] {
-            let out = evaluate_budget_with(&s, &i, &q, Some(2), &budget, &m).unwrap();
+            let out = run(&budget, Some(2));
             assert!(out.is_complete(), "budget {budget:?}");
             assert_eq!(out.value().len(), 2);
         }
         // A tighter budget than the caller's ask is a truncation.
-        let tight = Budget::unlimited().with_max_rows(1);
-        let out = evaluate_budget_with(&s, &i, &q, Some(2), &tight, &m).unwrap();
+        let out = run(&Budget::unlimited().with_max_rows(1), Some(2));
         assert_eq!(out.reason(), Some(TruncationReason::RowLimit));
         assert_eq!(out.value().len(), 1);
         // An exhaustive result below the cap is complete.
-        let out =
-            evaluate_all_with(&s, &i, &q, &Budget::unlimited().with_max_rows(50), &m).unwrap();
+        let out = run(&Budget::unlimited().with_max_rows(50), None);
         assert!(out.is_complete());
         assert_eq!(out.value().len(), 3);
     }
@@ -1191,7 +1173,12 @@ mod tests {
         let m = Metrics::enabled();
         let budget =
             Budget::unlimited().with_deadline(Instant::now() - std::time::Duration::from_secs(1));
-        let out = evaluate_all_with(&s, &i, &q, &budget, &m).unwrap();
+        let req = EvalReq {
+            metrics: &m,
+            budget: &budget,
+            ..EvalReq::default()
+        };
+        let out = req.run(&s, &i, &q).unwrap();
         // The deadline check fires every 1024 steps; this tiny search ends
         // first, so completion is legal — what matters is that an actually
         // cut-short search reports DeadlineExpired. Force it with a search
@@ -1210,7 +1197,7 @@ mod tests {
         let mut q2 = Query::new();
         q2.var("a", SetPath::parse("Employees"));
         q2.var("b", SetPath::parse("Employees"));
-        let out = evaluate_all_with(&s, &big, &q2, &budget, &m).unwrap();
+        let out = req.run(&s, &big, &q2).unwrap();
         assert_eq!(out.reason(), Some(TruncationReason::DeadlineExpired));
         assert!(m.snapshot().counter("budget.deadline_hits") >= 1);
     }

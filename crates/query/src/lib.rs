@@ -11,23 +11,19 @@
 //! The evaluator is a backtracking join with greedy connected-variable
 //! ordering and lazily built hash indexes per `(set path, attribute)`, which
 //! keeps `QIe` retrieval sub-second on the paper-sized (10 MB) instances.
+//! It has one entry point, [`EvalReq::run`]: metrics, a budget, planner
+//! hints and a row limit are fields of the request.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
 pub mod error;
 pub mod eval;
-pub mod explain;
 pub mod hints;
 pub mod plan;
 
 pub use ast::{Operand, QVar, Query};
 pub use error::QueryError;
-pub use eval::{
-    evaluate, evaluate_all, evaluate_all_planned_with, evaluate_all_with,
-    evaluate_budget_planned_with, evaluate_budget_with, evaluate_deadline, evaluate_deadline_with,
-    evaluate_planned_with, greedy_order, Binding,
-};
-pub use explain::{explain, Explanation};
+pub use eval::{greedy_order, Binding, EvalReq};
 pub use hints::SelectivityHints;
 pub use plan::{plan_query, EvalPlan, PlanStep};

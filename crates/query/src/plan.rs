@@ -8,18 +8,19 @@
 //! declared key under the [`SelectivityHints`] FD closure, then child
 //! variables (bound to a single parent set), then the raw count of bound
 //! equalities, then declaration order. The result is an [`EvalPlan`]: a
-//! serializable artifact `muse lint` emits per mapping and
-//! [`crate::eval::evaluate_planned_with`] executes.
+//! serializable artifact `muse lint` emits per mapping. The evaluator
+//! builds the same plan itself from an [`crate::EvalReq`]'s `hints`.
 //!
-//! Handing an `EvalPlan` to the evaluator does two things:
+//! A plan changes how the evaluator searches, never what it returns:
 //!
 //! * *composite probes* — at every position the evaluator probes a lazy
 //!   hash index on **all** equality attributes bound at that point (the
-//!   legacy path probes one); this is order-preserving, so it is safe even
-//!   for `limit`/deadline searches (identical result prefixes);
+//!   plan-less path probes one); this is order-preserving, so it is safe
+//!   even for `limit`/deadline searches (identical result prefixes);
 //! * *plan order* — for complete enumerations (no limit, no deadline) the
 //!   search runs in plan order and the emitted rows are restored to the
-//!   legacy emission order by rank-sorting, keeping results byte-identical.
+//!   plan-less emission order by rank-sorting, keeping results
+//!   byte-identical.
 
 use muse_nr::Schema;
 use muse_obs::Json;
@@ -42,8 +43,8 @@ pub struct PlanStep {
 }
 
 /// A static evaluation plan for one [`Query`]: the variable order plus the
-/// per-step probe annotation. Produced by [`plan_query`], consumed by
-/// [`crate::eval::evaluate_planned_with`] and serialized by `muse lint`.
+/// per-step probe annotation. Produced by [`plan_query`], run by the
+/// evaluator for a hinted [`crate::EvalReq`] and serialized by `muse lint`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalPlan {
     /// One step per query variable, in execution order.
@@ -106,7 +107,7 @@ const EXHAUSTIVE_MAX_VARS: usize = 6;
 /// [`PlanStep::key_covered`]; without hints the order degrades to
 /// bound-equality counting and no step is key-covered.
 ///
-/// Up to [`EXHAUSTIVE_MAX_VARS`] variables the planner scores every
+/// Up to `EXHAUSTIVE_MAX_VARS` (6) variables the planner scores every
 /// parent-respecting order and keeps the best one — most key-covered
 /// probes, then most probed equalities, ties resolved to the
 /// lexicographically least order (declaration-order bias). Larger queries

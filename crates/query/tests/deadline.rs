@@ -3,8 +3,9 @@
 
 use std::time::{Duration, Instant};
 
-use muse_nr::{Field, InstanceBuilder, Schema, SetPath, Ty, Value};
-use muse_query::{evaluate_deadline, Operand, Query};
+use muse_nr::{Field, Instance, InstanceBuilder, Schema, SetPath, Ty, Value};
+use muse_obs::{Budget, TruncationReason};
+use muse_query::{Binding, EvalReq, Operand, Query};
 
 fn schema() -> Schema {
     Schema::new(
@@ -37,7 +38,30 @@ fn hard_query() -> Query {
     q
 }
 
-fn big_instance(schema: &Schema, n: i64) -> muse_nr::Instance {
+/// Evaluate with a row limit and an optional deadline (carried by the
+/// budget). The flag says whether the deadline cut the search short.
+fn run_until(
+    s: &Schema,
+    inst: &Instance,
+    q: &Query,
+    limit: Option<usize>,
+    deadline: Option<Instant>,
+) -> (Vec<Binding>, bool) {
+    let budget = match deadline {
+        Some(at) => Budget::unlimited().with_deadline(at),
+        None => Budget::unlimited(),
+    };
+    let req = EvalReq {
+        budget: &budget,
+        limit,
+        ..EvalReq::default()
+    };
+    let (rows, reason) = req.run(s, inst, q).unwrap().into_parts();
+    assert!(reason.is_none_or(|r| r == TruncationReason::DeadlineExpired));
+    (rows, reason.is_some())
+}
+
+fn big_instance(schema: &Schema, n: i64) -> Instance {
     let mut b = InstanceBuilder::new(schema);
     for i in 0..n {
         b.push_top("A", vec![Value::int(i), Value::int(i % 3)]);
@@ -53,8 +77,7 @@ fn expired_deadline_cuts_the_search_short() {
     let q = hard_query();
     // A deadline in the past: the search must report a timeout promptly.
     let start = Instant::now();
-    let (rows, timed_out) =
-        evaluate_deadline(&s, &inst, &q, Some(1), Some(Instant::now())).unwrap();
+    let (rows, timed_out) = run_until(&s, &inst, &q, Some(1), Some(Instant::now()));
     assert!(rows.is_empty());
     assert!(timed_out);
     assert!(
@@ -72,7 +95,7 @@ fn generous_deadline_does_not_affect_results() {
     let b = q.var("b", SetPath::parse("B"));
     q.add_eq(Operand::proj(a, "x"), Operand::proj(b, "x"));
     let deadline = Some(Instant::now() + Duration::from_secs(60));
-    let (rows, timed_out) = evaluate_deadline(&s, &inst, &q, None, deadline).unwrap();
+    let (rows, timed_out) = run_until(&s, &inst, &q, None, deadline);
     assert_eq!(rows.len(), 50);
     assert!(!timed_out);
 }
@@ -81,8 +104,8 @@ fn generous_deadline_does_not_affect_results() {
 fn reached_limit_beats_expired_deadline() {
     // Regression: when the row limit is reached, the result set is complete
     // for the caller's purposes, so an (even already expired) deadline must
-    // not be reported as a timeout. `evaluate_deadline` checks the limit
-    // before the clock and squashes the flag when `limit` was satisfied.
+    // not be reported as a timeout. The search checks the limit before the
+    // clock and squashes the flag when `limit` was satisfied.
     let s = schema();
     let inst = big_instance(&s, 3_000);
     let mut q = Query::new();
@@ -90,7 +113,7 @@ fn reached_limit_beats_expired_deadline() {
     let b = q.var("b", SetPath::parse("B"));
     q.add_eq(Operand::proj(a, "x"), Operand::proj(b, "x"));
     let expired = Some(Instant::now() - Duration::from_secs(1));
-    let (rows, timed_out) = evaluate_deadline(&s, &inst, &q, Some(1), expired).unwrap();
+    let (rows, timed_out) = run_until(&s, &inst, &q, Some(1), expired);
     assert_eq!(rows.len(), 1, "the limit was reachable");
     assert!(
         !timed_out,
@@ -103,7 +126,7 @@ fn no_deadline_is_exhaustive() {
     let s = schema();
     let inst = big_instance(&s, 20);
     let q = hard_query();
-    let (rows, timed_out) = evaluate_deadline(&s, &inst, &q, Some(1), None).unwrap();
+    let (rows, timed_out) = run_until(&s, &inst, &q, Some(1), None);
     assert!(rows.is_empty());
     assert!(!timed_out);
 }

@@ -4,8 +4,8 @@
 use std::time::Instant;
 
 use muse_nr::{Field, InstanceBuilder, Schema, SetPath, Ty, Value};
-use muse_obs::Metrics;
-use muse_query::{evaluate, evaluate_deadline_with, Operand, Query};
+use muse_obs::{Budget, Metrics};
+use muse_query::{EvalReq, Operand, Query};
 
 fn schema() -> Schema {
     Schema::new(
@@ -47,9 +47,13 @@ fn counters_track_evaluation_work() {
     let inst = instance(&s, 40);
     let q = join_query();
     let metrics = Metrics::enabled();
-    let (rows, timed_out) = evaluate_deadline_with(&s, &inst, &q, None, None, &metrics).unwrap();
-    assert_eq!(rows.len(), 40);
-    assert!(!timed_out);
+    let req = EvalReq {
+        metrics: &metrics,
+        ..EvalReq::default()
+    };
+    let out = req.run(&s, &inst, &q).unwrap();
+    assert!(out.is_complete());
+    assert_eq!(out.value().len(), 40);
 
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("query.evals"), 1);
@@ -77,8 +81,12 @@ fn counters_accumulate_across_evaluations() {
     let inst = instance(&s, 10);
     let q = join_query();
     let metrics = Metrics::enabled();
+    let req = EvalReq {
+        metrics: &metrics,
+        ..EvalReq::default()
+    };
     for _ in 0..3 {
-        evaluate_deadline_with(&s, &inst, &q, None, None, &metrics).unwrap();
+        req.run(&s, &inst, &q).unwrap();
     }
     let snap = metrics.snapshot();
     assert_eq!(snap.counter("query.evals"), 3);
@@ -98,22 +106,33 @@ fn timeout_counter_fires_with_the_flag() {
     let mut q = join_query();
     q.add_neq(Operand::proj(0, "y"), Operand::proj(0, "y"));
     let metrics = Metrics::enabled();
-    let (rows, timed_out) =
-        evaluate_deadline_with(&s, &inst, &q, Some(1), Some(Instant::now()), &metrics).unwrap();
-    assert!(rows.is_empty());
-    assert!(timed_out);
-    assert_eq!(metrics.snapshot().counter("query.timeouts"), 1);
+    let budget = Budget::unlimited().with_deadline(Instant::now());
+    let req = EvalReq {
+        metrics: &metrics,
+        budget: &budget,
+        limit: Some(1),
+        ..EvalReq::default()
+    };
+    let out = req.run(&s, &inst, &q).unwrap();
+    assert!(out.value().is_empty());
+    assert!(!out.is_complete());
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("query.timeouts"), 1);
+    assert_eq!(snap.counter("budget.deadline_hits"), 1);
 }
 
 #[test]
 fn plain_evaluate_is_unchanged_by_instrumentation() {
-    // The `_with` variant with disabled metrics returns the same rows as the
-    // uninstrumented entry point.
+    // Enabled metrics return the same rows as the default (disabled)
+    // request.
     let s = schema();
     let inst = instance(&s, 25);
     let q = join_query();
-    let plain = evaluate(&s, &inst, &q, None).unwrap();
-    let (with, _) =
-        evaluate_deadline_with(&s, &inst, &q, None, None, &Metrics::disabled()).unwrap();
-    assert_eq!(plain, with);
+    let plain = EvalReq::default().run(&s, &inst, &q).unwrap();
+    let metrics = Metrics::enabled();
+    let counted = EvalReq {
+        metrics: &metrics,
+        ..EvalReq::default()
+    };
+    assert_eq!(plain, counted.run(&s, &inst, &q).unwrap());
 }

@@ -1,12 +1,16 @@
-//! Differential property test: the planned, index-accelerated [`evaluate`]
-//! must agree with a trivially-correct reference evaluator — a naive nested
-//! loop over the full cross product that checks every predicate only on
-//! complete rows. Instances and queries are generated from seeded SplitMix64
-//! streams, so every failure is reproducible from its seed.
+//! Differential property test: the index-accelerated evaluator
+//! ([`EvalReq::run`]) must agree with a trivially-correct reference
+//! evaluator — a naive nested loop over the full cross product that checks
+//! every predicate only on complete rows — and plan-driven runs (hinted
+//! requests) must return the plan-less rows in the plan-less order.
+//! Instances and queries are generated from seeded SplitMix64 streams, so
+//! every failure is reproducible from its seed.
 
-use muse_nr::{Field, Instance, InstanceBuilder, Schema, SetPath, Tuple, Ty, Value};
+use muse_nr::{
+    Constraints, Field, Instance, InstanceBuilder, Key, Schema, SetPath, Tuple, Ty, Value,
+};
 use muse_obs::{Metrics, Rng};
-use muse_query::{evaluate, evaluate_all, evaluate_deadline_with, Binding, Operand, Query};
+use muse_query::{Binding, EvalReq, Operand, Query, SelectivityHints};
 
 /// Small alphabets force collisions, so joins actually match.
 const TAGS: [&str; 3] = ["a", "b", "c"];
@@ -36,6 +40,42 @@ fn ref_schema() -> Schema {
         ],
     )
     .unwrap()
+}
+
+/// The hint sets plan-driven runs use: keys on `Items.k` and
+/// `Pairs.(k, tag)`, and no constraints at all. The random instances do
+/// not satisfy the keys; hints steer the plan, never the rows.
+fn hint_sets(schema: &Schema) -> [SelectivityHints; 2] {
+    let keyed = Constraints {
+        keys: vec![
+            Key::new(SetPath::parse("Items"), vec!["k"]),
+            Key::new(SetPath::parse("Pairs"), vec!["k", "tag"]),
+        ],
+        fds: vec![],
+        fks: vec![],
+    };
+    [
+        SelectivityHints::from_constraints(schema, &keyed),
+        SelectivityHints::from_constraints(schema, &Constraints::none()),
+    ]
+}
+
+/// Evaluate under a request with the given hints and row limit.
+fn run(
+    schema: &Schema,
+    inst: &Instance,
+    q: &Query,
+    hints: Option<&SelectivityHints>,
+    limit: Option<usize>,
+) -> Vec<Binding> {
+    let req = EvalReq {
+        hints,
+        limit,
+        ..EvalReq::default()
+    };
+    let out = req.run(schema, inst, q).expect("evaluate");
+    assert!(out.is_complete(), "no budget, no truncation");
+    out.into_value()
 }
 
 fn random_instance(schema: &Schema, rng: &mut Rng) -> Instance {
@@ -216,12 +256,14 @@ fn sorted(mut rows: Vec<Binding>) -> Vec<Binding> {
 }
 
 /// The workhorse: across many seeds, the engine's full result set is exactly
-/// the reference's, as multisets. Covers equalities (proj–proj and
-/// proj–const), inequalities, joins, child variables, empty instances, and
-/// shared sub-sets — whatever each seed happens to draw.
+/// the reference's, as multisets, and every hinted run returns the
+/// plan-less rows in order. Covers equalities (proj–proj and proj–const),
+/// inequalities, joins, child variables, empty instances, and shared
+/// sub-sets — whatever each seed happens to draw.
 #[test]
 fn evaluate_agrees_with_naive_reference() {
     let schema = ref_schema();
+    let hint_sets = hint_sets(&schema);
     let (mut eq_preds, mut neq_preds, mut child_vars, mut nonempty) = (0, 0, 0, 0);
     for seed in 0..64u64 {
         let mut rng = Rng::new(seed);
@@ -233,8 +275,19 @@ fn evaluate_agrees_with_naive_reference() {
         child_vars += q.vars.iter().filter(|v| v.parent.is_some()).count();
 
         let expect = sorted(naive_eval(&schema, &inst, &q));
-        let got = sorted(evaluate_all(&schema, &inst, &q).expect("evaluate"));
-        assert_eq!(got, expect, "seed {seed}: engine diverged from reference");
+        let plain = run(&schema, &inst, &q, None, None);
+        for (h, hints) in hint_sets.iter().enumerate() {
+            assert_eq!(
+                run(&schema, &inst, &q, Some(hints), None),
+                plain,
+                "seed {seed}, hint set {h}: plan-driven rows differ from the plan-less run"
+            );
+        }
+        assert_eq!(
+            sorted(plain),
+            expect,
+            "seed {seed}: engine diverged from reference"
+        );
         nonempty += usize::from(!expect.is_empty());
     }
     // The generator must actually exercise what this test claims to cover.
@@ -266,15 +319,18 @@ fn search_counters_are_deterministic_and_results_match_the_reference() {
         let inst = random_instance(&schema, &mut rng);
         let q = random_query(&mut rng);
 
-        let run = || {
+        let counted = || {
             let m = Metrics::enabled();
-            let (rows, timed_out) =
-                evaluate_deadline_with(&schema, &inst, &q, None, None, &m).expect("evaluate");
-            assert!(!timed_out, "seed {seed}: no deadline, no timeout");
-            (rows, counters(&m))
+            let req = EvalReq {
+                metrics: &m,
+                ..EvalReq::default()
+            };
+            let out = req.run(&schema, &inst, &q).expect("evaluate");
+            assert!(out.is_complete(), "seed {seed}: no budget, no truncation");
+            (out.into_value(), counters(&m))
         };
-        let (rows1, counts1) = run();
-        let (rows2, counts2) = run();
+        let (rows1, counts1) = counted();
+        let (rows2, counts2) = counted();
         assert_eq!(rows1, rows2, "seed {seed}: nondeterministic result order");
         assert_eq!(counts1, counts2, "seed {seed}: nondeterministic counters");
         assert_eq!(
@@ -288,20 +344,29 @@ fn search_counters_are_deterministic_and_results_match_the_reference() {
 }
 
 /// Row limits: a limited evaluation is exactly a prefix of the engine's own
-/// deterministic unlimited order, and every returned row is a genuine
-/// answer (member of the reference result).
+/// deterministic unlimited order, every returned row is a genuine answer
+/// (member of the reference result), and every hinted run returns the same
+/// prefix.
 #[test]
 fn row_limits_return_prefixes_of_the_full_result() {
     let schema = ref_schema();
+    let hint_sets = hint_sets(&schema);
     for seed in 0..32u64 {
         let mut rng = Rng::new(seed);
         let inst = random_instance(&schema, &mut rng);
         let q = random_query(&mut rng);
 
-        let full = evaluate_all(&schema, &inst, &q).expect("evaluate");
+        let full = run(&schema, &inst, &q, None, None);
         let reference = naive_eval(&schema, &inst, &q);
         for limit in [0, 1, 2, 5, full.len() + 1] {
-            let limited = evaluate(&schema, &inst, &q, Some(limit)).expect("limited evaluate");
+            let limited = run(&schema, &inst, &q, None, Some(limit));
+            for (h, hints) in hint_sets.iter().enumerate() {
+                assert_eq!(
+                    run(&schema, &inst, &q, Some(hints), Some(limit)),
+                    limited,
+                    "seed {seed}, limit {limit}, hint set {h}: plan-driven rows differ"
+                );
+            }
             assert_eq!(
                 limited,
                 full[..limit.min(full.len())],

@@ -28,7 +28,7 @@ pub struct Client {
     pub retries: u32,
     /// The cap on the per-attempt `503` backoff, in milliseconds. The
     /// server's `Retry-After` header (seconds) is honored up to this cap;
-    /// without a header the backoff is the [`RETRY_FLOOR_MS`] floor.
+    /// without a header the backoff is the 50 ms floor.
     pub retry_cap_ms: u64,
     /// Jitter source for the retry backoff — desynchronizes clients that
     /// were all shed by the same degraded server.

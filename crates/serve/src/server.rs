@@ -23,7 +23,8 @@
 //! - identical deterministic probes across sessions hit the process-wide
 //!   [`ProbeCache`] (`serve.cache_hits` / `serve.cache_misses`), so N
 //!   identical-config sessions pay for each wizard question once;
-//! - identical configs share one [`SessionCtx`] via [`CtxCache`];
+//! - identical configs share one [`SessionCtx`](crate::store::SessionCtx)
+//!   via [`CtxCache`];
 //! - each session's `StepMemo` (next to its delta store) resumes every
 //!   step from the last design-unit boundary, so an answer replays at most
 //!   its own design unit instead of the whole answer log.
@@ -75,9 +76,6 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Answer-log path; `None` runs without durability.
     pub wal: Option<PathBuf>,
-    /// Honor HTTP/1.1 keep-alive. Off forces `Connection: close` on every
-    /// response (the pre-keep-alive behavior).
-    pub keep_alive: bool,
     /// Drop a parked keep-alive connection after this long without a new
     /// request.
     pub idle_timeout_ms: u64,
@@ -109,7 +107,6 @@ impl Default for ServerConfig {
             max_sessions: 1024,
             max_connections: 256,
             wal: None,
-            keep_alive: true,
             idle_timeout_ms: 5000,
             max_conn_requests: 1000,
             snapshot_every: 8,
@@ -744,8 +741,7 @@ impl Server {
         };
         // Decided after routing so the /admin/shutdown response itself
         // carries `Connection: close`.
-        let close = !self.cfg.keep_alive
-            || !request.keep_alive
+        let close = !request.keep_alive
             || state.served >= self.cfg.max_conn_requests
             || self.shutdown.load(Ordering::Acquire);
         if let Ok(n) = http::respond(state.conn.stream_mut(), status, &headers, &body, close) {

@@ -382,10 +382,11 @@ impl SessionEntry {
     /// Returns the step so callers (the oracle loop, the create handler)
     /// can act on the typed question without re-parsing JSON.
     ///
-    /// `probes` is the process-wide probe/example memo; it is attached
-    /// only when the budget is unlimited — under a deadline or count cap,
-    /// a cache hit would bypass the budget's accounting and change which
-    /// truncation warnings the wizard reports.
+    /// `probes` is the process-wide probe/example memo. The wizards consult
+    /// it only under their replay gate (unlimited budget, uncapped
+    /// real-example search, no armed fault plan): under a deadline or
+    /// count cap a cache hit would bypass the budget's accounting and
+    /// change which truncation warnings the wizard reports.
     pub fn advance(
         &mut self,
         metrics: &Metrics,
@@ -407,13 +408,12 @@ impl SessionEntry {
         .with_real_example_budget(None)
         // Safe under any budget: the store itself falls back to a scratch
         // chase (`chase.delta_fallbacks`) whenever the budget is limited,
-        // and `step` bypasses the memo.
+        // and the wizards consult the probe cache and `step` the memo only
+        // under their replay gate.
         .with_delta(&self.delta)
         .with_step_memo(&self.step_memo);
         if let Some(cache) = probes {
-            if budget.is_unlimited() {
-                session = session.with_probe_cache(cache, &self.probe_ctx);
-            }
+            session = session.with_probe_cache(cache, &self.probe_ctx);
         }
         if let Some(inst) = &self.ctx.instance {
             session = session.with_instance(inst);

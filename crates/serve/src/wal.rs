@@ -169,14 +169,12 @@ impl Wal {
     }
 
     /// Append one record and flush it to the OS; returns the bytes
-    /// written. The `serve.wal.append` fault point (and the legacy
-    /// `serve.wal` alias) fails the append before any byte is written;
-    /// the `serve.wal.fsync` point lands *half a frame* and then fails,
-    /// modeling a torn write that the next replay must salvage around.
+    /// written. The `serve.wal.append` fault point fails the append before
+    /// any byte is written; the `serve.wal.fsync` point lands *half a
+    /// frame* and then fails, modeling a torn write that the next replay
+    /// must salvage around.
     pub fn append(&self, rec: &Json) -> io::Result<u64> {
-        if muse_fault::point(faultpoints::SERVE_WAL).is_some()
-            || muse_fault::point(faultpoints::SERVE_WAL_APPEND).is_some()
-        {
+        if muse_fault::point(faultpoints::SERVE_WAL_APPEND).is_some() {
             return Err(io::Error::other("injected serve.wal.append fault"));
         }
         let frame = encode_frame(rec);

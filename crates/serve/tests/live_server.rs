@@ -518,6 +518,31 @@ fn an_idle_keepalive_connection_closes_at_its_deadline() {
     handle.join().unwrap();
 }
 
+/// A client that asks for a one-shot connection gets one: the response
+/// carries `Connection: close` and the server closes the socket at once
+/// instead of parking it for its (here one-minute) idle deadline.
+#[test]
+fn a_connection_close_request_gets_a_one_shot_connection() {
+    let (client, server, handle) = spawn(ServerConfig {
+        idle_timeout_ms: 60_000,
+        ..ServerConfig::default()
+    });
+    let mut raw = raw_conn(&server);
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let mut data = Vec::new();
+    raw.read_to_end(&mut data)
+        .expect("the server closes the connection");
+    let text = String::from_utf8_lossy(&data);
+    assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
+    assert!(text.contains("Connection: close"), "{text}");
+    let metrics = client.metrics().expect("metrics");
+    assert_eq!(counter(&metrics, "serve.idle_closes"), 0);
+
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap();
+}
+
 /// The drain closes idle parked connections at once instead of waiting
 /// out their (here one-minute) idle deadline.
 #[test]

@@ -20,23 +20,37 @@
 //! printed text, which also captures grouping state mutated between
 //! design rounds.
 //!
-//! Correctness gates (enforced at the call sites in Muse-D/Muse-G): the
-//! cache is consulted only when the execution budget is unlimited and the
-//! real-example search is uncapped. A cached hit bypasses budget
-//! accounting, which would otherwise make truncation depend on cache
-//! state, and a time-capped example search is nondeterministic to begin
-//! with. Under those gates a hit is byte-identical to recomputation.
+//! Correctness gate (`replay_safe`, checked at the call sites in
+//! Muse-D/Muse-G): the cache is consulted only when the execution budget
+//! is unlimited, the real-example search is uncapped and no fault plan is
+//! armed. A cached hit bypasses budget accounting, which would otherwise
+//! make truncation depend on cache state; a time-capped example search is
+//! nondeterministic to begin with; and a hit skips the fault points that
+//! recomputing the question passes (`query.eval`, `chase.binding`), so an
+//! armed plan would fire elsewhere depending on how warm the cache is.
+//! Under the gate a hit is byte-identical to recomputation.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use muse_mapping::{printer, Mapping};
 use muse_nr::constraints::fdset::AttrSet;
 use muse_nr::SetPath;
+use muse_obs::Budget;
 
 use crate::example::ExampleRequest;
 use crate::mused::DisambiguationQuestion;
 use crate::museg::GroupingQuestion;
+
+/// The replay gate: a probe question, or a resumed [`crate::Session::step`],
+/// is a pure function of its inputs only when the budget is unlimited, the
+/// real-example search is uncapped and no fault plan is armed (see the
+/// module docs). The [`ProbeCache`] and the [`crate::step::StepMemo`] are
+/// used only when it holds.
+pub(crate) fn replay_safe(budget: &Budget, real_example_budget: Option<Duration>) -> bool {
+    budget.is_unlimited() && real_example_budget.is_none() && !muse_fault::armed()
+}
 
 /// A memoized probe question. `Arc` so a hit is a pointer clone: the
 /// embedded example instances make a deep clone non-trivial, and the

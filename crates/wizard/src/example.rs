@@ -23,8 +23,8 @@ use muse_mapping::poss::all_source_refs;
 use muse_mapping::{Mapping, PathRef};
 use muse_nr::constraints::fdset::{attrs, AttrSet, FdSet};
 use muse_nr::{Constraints, Instance, Schema, SetPath, Tuple, Ty, Value};
-use muse_obs::Metrics;
-use muse_query::{evaluate_planned_with, plan_query, Operand, Query, SelectivityHints};
+use muse_obs::{Budget, Metrics};
+use muse_query::{EvalReq, Operand, Query, SelectivityHints};
 
 use crate::error::WizardError;
 
@@ -276,8 +276,8 @@ pub fn build_example(
 
 /// [`build_example`] with the real-instance search (`QIe`) instrumented
 /// through `metrics` (the `query.*` keys) and, when `hints` is given,
-/// driven by a static plan (composite key-aware hash probes — identical
-/// results, far fewer `query.steps`; see [`muse_query::plan`]).
+/// planned by the evaluator (composite key-aware hash probes — identical
+/// results, far fewer `query.steps`; see [`EvalReq::hints`]).
 #[allow(clippy::too_many_arguments)]
 pub fn build_example_with(
     m: &Mapping,
@@ -440,19 +440,21 @@ fn query_real(
         }
     }
 
-    // With hints, hand the evaluator a static plan: the first-match search
-    // keeps the legacy binding order (identical transcript bytes) but
-    // probes composite hash keys instead of single attributes.
-    let plan = hints.and_then(|h| plan_query(source_schema, &q, Some(h)).ok());
-    let (result, timed_out) = evaluate_planned_with(
-        source_schema,
-        real,
-        &q,
-        plan.as_ref(),
-        Some(1),
-        deadline,
+    // The first match is the example. With hints the evaluator probes
+    // composite hash keys, but a limited search keeps the plan-less binding
+    // order, so the match (and the transcript) is the same either way.
+    let budget = match deadline {
+        Some(at) => Budget::unlimited().with_deadline(at),
+        None => Budget::unlimited(),
+    };
+    let eval = EvalReq {
         metrics,
-    )?;
+        budget: &budget,
+        hints,
+        limit: Some(1),
+    };
+    let (result, cut_short) = eval.run(source_schema, real, &q)?.into_parts();
+    let timed_out = cut_short.is_some();
     let Some(binding) = result.into_iter().next() else {
         return Ok((None, timed_out));
     };

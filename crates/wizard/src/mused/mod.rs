@@ -49,8 +49,8 @@ pub struct MuseD<'a> {
     /// Optional shared probe-question memo plus the context key covering
     /// everything outside the mapping that determines the question
     /// (scenario and instance identity). Consulted only when `budget` is
-    /// unlimited and `real_example_budget` is `None` — see
-    /// [`crate::cache::ProbeCache`].
+    /// unlimited, `real_example_budget` is `None` and no fault plan is
+    /// armed — see [`crate::cache::ProbeCache`].
     pub probe_cache: Option<(&'a crate::cache::ProbeCache, &'a str)>,
     /// Key/FD selectivity hints over the source schema: when set, `QIe`
     /// example searches and the partial chase run plan-driven (identical
@@ -203,15 +203,13 @@ impl<'a> MuseD<'a> {
             TruncationReason::DeadlineExpired.record(self.metrics);
             return Ok(None);
         }
-        // The memo is sound only when nothing time-dependent can alter the
-        // result: an unlimited budget (a hit bypasses budget accounting)
-        // and an uncapped, deterministic real-example search. On a hit the
-        // per-example observability counters (`wizard.real_examples` et
-        // al.) are not re-recorded — only the outcome fields, which come
-        // from the cached question, matter for the report.
+        // On a hit the per-example observability counters
+        // (`wizard.real_examples` et al.) are not re-recorded — only the
+        // outcome fields, which come from the cached question, matter for
+        // the report.
         let cached = match self.probe_cache {
             Some((cache, ctx))
-                if self.budget.is_unlimited() && self.real_example_budget.is_none() =>
+                if crate::cache::replay_safe(self.budget, self.real_example_budget) =>
             {
                 let key = crate::cache::disambiguation_key(ctx, m);
                 if let Some(q) = cache.get_disambiguation(&key) {

@@ -8,21 +8,28 @@
 use muse_mapping::Mapping;
 use muse_nr::constraints::fdset::{attrs, AttrSet};
 use muse_nr::{Instance, Schema, Value};
-use muse_query::evaluate_all;
+use muse_obs::Outcome;
+use muse_query::EvalReq;
 
 use crate::error::WizardError;
 use crate::example::ClassSpace;
 
 /// The poss indices that are inconsequential for `real`: constant across
 /// every binding (including the degenerate case of zero bindings, where
-/// every attribute is inconsequential).
+/// every attribute is inconsequential). An evaluation cut short (an
+/// injected `query.eval` fault) proves nothing constant, so none is
+/// pruned — the answer Muse-G uses when the analysis is off.
 pub fn inconsequential_attrs(
     m: &Mapping,
     space: &ClassSpace,
     source_schema: &Schema,
     real: &Instance,
 ) -> Result<AttrSet, WizardError> {
-    let bindings = evaluate_all(source_schema, real, &m.source_query())?;
+    let Outcome::Complete(bindings) =
+        EvalReq::default().run(source_schema, real, &m.source_query())?
+    else {
+        return Ok(0);
+    };
     let mut out: AttrSet = 0;
     for (i, r) in space.poss.iter().enumerate() {
         let idx = source_schema

@@ -61,8 +61,8 @@ pub struct MuseG<'a> {
     /// Optional shared probe-question memo plus the context key covering
     /// everything outside the mapping/probe parameters that determines
     /// probe results (scenario and instance identity). Consulted only when
-    /// `budget` is unlimited and `real_example_budget` is `None` — see
-    /// [`crate::cache::ProbeCache`].
+    /// `budget` is unlimited, `real_example_budget` is `None` and no fault
+    /// plan is armed — see [`crate::cache::ProbeCache`].
     pub probe_cache: Option<(&'a crate::cache::ProbeCache, &'a str)>,
     /// Key/FD selectivity hints over the source schema: when set, `QIe`
     /// example searches and probe chases run plan-driven (identical
@@ -487,12 +487,9 @@ impl<'a> MuseG<'a> {
             TruncationReason::DeadlineExpired.record(self.metrics);
             return Ok(None);
         }
-        // The memo is sound only when nothing time-dependent can alter the
-        // result: an unlimited budget (a hit bypasses budget accounting)
-        // and an uncapped, deterministic real-example search.
         let cached = match self.probe_cache {
             Some((cache, ctx))
-                if self.budget.is_unlimited() && self.real_example_budget.is_none() =>
+                if crate::cache::replay_safe(self.budget, self.real_example_budget) =>
             {
                 let key =
                     crate::cache::grouping_key(ctx, m, sk, req, with_set, without_set, probed);

@@ -60,8 +60,9 @@ pub struct Session<'a> {
     /// Optional shared probe-question memo plus the context key covering
     /// everything outside the mappings that determines probe results
     /// (scenario and instance identity). Forwarded to both component
-    /// wizards; consulted only when `budget` is unlimited and
-    /// `real_example_budget` is `None`. See [`crate::cache::ProbeCache`].
+    /// wizards; consulted only when `budget` is unlimited,
+    /// `real_example_budget` is `None` and no fault plan is armed. See
+    /// [`crate::cache::ProbeCache`].
     pub probe_cache: Option<(&'a crate::cache::ProbeCache, &'a str)>,
     /// Incremental chase store, forwarded to both component wizards: probe
     /// and partial-target chases rederive unchanged bindings from
@@ -71,8 +72,8 @@ pub struct Session<'a> {
     pub delta: Option<&'a muse_chase::DeltaStore>,
     /// Resume point for [`Session::step`]: a step whose answers extend the
     /// memo's recorded prefix replays only the current design unit.
-    /// Consulted under the same gate as `probe_cache`, and only while no
-    /// fault plan is armed. See [`crate::step::StepMemo`].
+    /// Consulted under the same gate as `probe_cache`. See
+    /// [`crate::step::StepMemo`].
     pub step_memo: Option<&'a crate::step::StepMemo>,
 }
 

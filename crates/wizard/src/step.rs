@@ -285,10 +285,10 @@ impl Session<'_> {
         // Resume only where the run is a pure function of its answers. A
         // deadline spans the whole step and an armed fault plan counts
         // hits, so a resumed step would truncate elsewhere; the memo takes
-        // the whole ProbeCache/DeltaStore gate, count caps included.
-        let memo = self.step_memo.filter(|_| {
-            self.budget.is_unlimited() && self.real_example_budget.is_none() && !muse_fault::armed()
-        });
+        // the ProbeCache's gate, count caps included.
+        let memo = self
+            .step_memo
+            .filter(|_| crate::cache::replay_safe(self.budget, self.real_example_budget));
         let resumed = memo.and_then(|memo| memo.take_matching(mappings, answers));
         let (mut progress, mut consumed, inputs) = match resumed {
             Some(c) => {

@@ -176,10 +176,14 @@ impl<'a> Bench<'a> {
 
     /// The memo-less session (the reference).
     fn session(&self) -> Session<'_> {
+        self.uncached().with_probe_cache(&self.cache, &self.s.name)
+    }
+
+    /// The memo-less session without the probe cache.
+    fn uncached(&self) -> Session<'_> {
         let s = self.s;
         let mut session = Session::new(&s.source_schema, &s.target_schema, &s.source_constraints)
-            .with_real_example_budget(None)
-            .with_probe_cache(&self.cache, &s.name);
+            .with_real_example_budget(None);
         if let Some(inst) = self.instance {
             session = session.with_instance(inst);
         }
@@ -559,24 +563,35 @@ fn memo_is_bypassed_under_faults_and_budgets() {
     let resumes = || metrics.snapshot().counter("wizard.step_resumes");
     let before = resumes();
 
-    // An armed fault plan counts hits, so a resumed step would see its
-    // faults fire elsewhere: the memo must step aside. Each side gets a
-    // freshly armed copy of the plan.
-    let plan = muse_fault::parse_spec("wizard.probe:deadline@2x3").unwrap();
-    let plain = {
-        let _armed = muse_fault::arm_scoped(plan.clone());
-        bench.step(&bench.session(), &run.answers[..=k]).0
-    };
-    let with_memo = {
-        let _armed = muse_fault::arm_scoped(plan);
-        bench.step(&resumed(), &run.answers[..=k]).0
-    };
-    assert_eq!(plain, with_memo);
-    assert_ne!(
-        plain,
-        run.transcript[k + 1],
-        "the plan must change the outcome"
-    );
+    // An armed fault plan counts hits, so neither a resumed step nor a
+    // probe-cache hit may stand in for recomputation: a resumed step would
+    // see its faults fire elsewhere, and a cache hit skips the fault points
+    // that recomputing its question passes (`chase.binding`). Both must
+    // step aside: the warm-cache and the memo-backed session each match a
+    // cache-less one. Each side gets a freshly armed copy of the plan.
+    for spec in ["wizard.probe:deadline@2x3", "chase.binding:deadline@1"] {
+        let plan = muse_fault::parse_spec(spec).unwrap();
+        let under_plan = |session: Session| {
+            let _armed = muse_fault::arm_scoped(plan.clone());
+            bench.step(&session, &run.answers[..=k]).0
+        };
+        let uncached = under_plan(bench.uncached());
+        assert_eq!(
+            under_plan(bench.session()),
+            uncached,
+            "{spec}: a warm probe cache changed the faulted outcome"
+        );
+        assert_eq!(
+            under_plan(resumed()),
+            uncached,
+            "{spec}: the memo changed the faulted outcome"
+        );
+        assert_ne!(
+            uncached,
+            run.transcript[k + 1],
+            "{spec}: the plan must change the outcome"
+        );
+    }
 
     // So must a limited budget: the memo shares the probe memo's gate.
     let budget = muse_obs::Budget::unlimited().with_max_rows(1 << 20);

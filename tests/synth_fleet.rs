@@ -141,31 +141,31 @@ fn check_lint(s: &Scenario) {
 
 /// Plan-driven evaluation must return byte-identical rows to the reference
 /// evaluator — on every mapping query of the scenario, over the generated
-/// instance.
+/// instance. Every query must also plan: the evaluator silently runs a
+/// query the planner rejects plan-less, which would turn this differential
+/// into plan-less against plan-less.
 fn check_plan_differential(s: &Scenario, scale: f64, seed: u64) {
+    use muse_suite::query::{plan_query, EvalReq, SelectivityHints};
     let source = s.instance(scale, seed);
-    let hints = muse_suite::query::SelectivityHints::from_constraints(
-        &s.source_schema,
-        &s.source_constraints,
-    );
+    let hints = SelectivityHints::from_constraints(&s.source_schema, &s.source_constraints);
+    let planned = EvalReq {
+        hints: Some(&hints),
+        ..EvalReq::default()
+    };
     for m in ready_mappings(s) {
         let q = m.source_query();
-        let reference = muse_suite::query::evaluate_all(&s.source_schema, &source, &q)
-            .unwrap_or_else(|e| panic!("{}/{}: reference eval: {e}", s.name, m.name));
-        let plan = muse_suite::query::plan_query(&s.source_schema, &q, Some(&hints))
+        let reference = EvalReq::default()
+            .run(&s.source_schema, &source, &q)
+            .unwrap_or_else(|e| panic!("{}/{}: reference eval: {e}", s.name, m.name))
+            .into_value();
+        plan_query(&s.source_schema, &q, Some(&hints))
             .unwrap_or_else(|e| panic!("{}/{}: plan: {e}", s.name, m.name));
-        let planned = muse_suite::query::evaluate_all_planned_with(
-            &s.source_schema,
-            &source,
-            &q,
-            Some(&plan),
-            muse_obs::Budget::unlimited_ref(),
-            Metrics::disabled_ref(),
-        )
-        .unwrap_or_else(|e| panic!("{}/{}: planned eval: {e}", s.name, m.name))
-        .into_value();
+        let rows = planned
+            .run(&s.source_schema, &source, &q)
+            .unwrap_or_else(|e| panic!("{}/{}: planned eval: {e}", s.name, m.name))
+            .into_value();
         assert_eq!(
-            reference, planned,
+            reference, rows,
             "{}/{}: plan-driven rows differ from the reference evaluator",
             s.name, m.name
         );
