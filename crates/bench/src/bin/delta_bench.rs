@@ -10,9 +10,8 @@
 //! `--json` merges the `delta` section into `BENCH_baseline.json`;
 //! `MUSE_GATE=1` additionally enforces the engine's headline win — ≥3x
 //! fewer chase steps on the Mondial pass). Step counts are measured
-//! exhaustively (real-example deadline disabled) so they are
-//! deterministic; the TPC-H row (combinatorial exhaustive QIe search)
-//! runs under the default deadline instead, marked `~`. `--threads N`
+//! without the real-example deadline, so they are deterministic.
+//! `--threads N`
 //! runs scenarios alongside each other, which skews their wall-clock
 //! columns; the default (`MUSE_THREADS` or 1) times them one at a time.
 
@@ -33,7 +32,6 @@ struct Row {
     rederived: u64,
     delta_hits: u64,
     fallbacks: u64,
-    exhaustive: bool,
 }
 
 /// Wall-clock cost of one wizard pass: the whole pass and its `chase.time`
@@ -65,13 +63,12 @@ fn wizard_pass(
     s: &muse_scenarios::Scenario,
     scale: f64,
     seed: u64,
-    exhaustive: bool,
     delta: Option<&DeltaStore>,
     metrics: &Metrics,
 ) -> Vec<String> {
     let req = Fig5Req {
         metrics,
-        exhaustive,
+        exhaustive: true,
         delta,
         ..Fig5Req::default()
     };
@@ -96,12 +93,9 @@ fn wizard_pass(
 }
 
 fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
-    // Same determinism split as plan_bench: exhaustive QIe search
-    // everywhere but TPC-H.
-    let exhaustive = s.name != "TPCH";
     let t = Instant::now();
     let scratch_metrics = Metrics::enabled();
-    let scratch_rows = wizard_pass(s, scale, seed, exhaustive, None, &scratch_metrics);
+    let scratch_rows = wizard_pass(s, scale, seed, None, &scratch_metrics);
     let scratch_snap = scratch_metrics.snapshot();
     let scratch = Pass::new(t.elapsed().as_secs_f64(), &scratch_snap);
     let scratch_steps = scratch_snap.counter("chase.steps");
@@ -113,7 +107,7 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     let store = DeltaStore::new();
     let incr_metrics = Metrics::enabled();
     let t_incr = Instant::now();
-    let incr_rows = wizard_pass(s, scale, seed, exhaustive, Some(&store), &incr_metrics);
+    let incr_rows = wizard_pass(s, scale, seed, Some(&store), &incr_metrics);
     let snap = incr_metrics.snapshot();
     let incr = Pass::new(t_incr.elapsed().as_secs_f64(), &snap);
     let incr_steps = snap.counter("chase.steps");
@@ -129,7 +123,7 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
     );
     let fallbacks = snap.counter("chase.delta_fallbacks");
     let rederived = snap.counter("chase.rederived");
-    if fallbacks == 0 && exhaustive {
+    if fallbacks == 0 {
         // Counter reconciliation: every scratch step is either still a
         // step or a rederivation — nothing is silently skipped.
         assert_eq!(
@@ -148,7 +142,6 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
         rederived,
         delta_hits: snap.counter("chase.delta_hits"),
         fallbacks,
-        exhaustive,
     }
 }
 
@@ -184,17 +177,14 @@ fn main() {
         measure(&scenarios[i], scale, seed)
     });
     let mut sections = Vec::new();
-    let mut any_approx = false;
     for r in &rows {
         let ratio = r.scratch_steps as f64 / r.incr_steps.max(1) as f64;
-        any_approx |= !r.exhaustive;
         println!(
-            "{:<9} {:>14} {:>13} {:>5.1}x{} {:>11} {:>6} {:>10} {:>8.2}s/{:>6.3}s {:>8.2}s/{:>6.3}s",
+            "{:<9} {:>14} {:>13} {:>5.1}x  {:>11} {:>6} {:>10} {:>8.2}s/{:>6.3}s {:>8.2}s/{:>6.3}s",
             r.scenario,
             r.scratch_steps,
             r.incr_steps,
             ratio,
-            if r.exhaustive { " " } else { "~" },
             r.rederived,
             r.delta_hits,
             r.fallbacks,
@@ -212,21 +202,16 @@ fn main() {
                 ("rederived", Json::Int(r.rederived as i64)),
                 ("delta_hits", Json::Int(r.delta_hits as i64)),
                 ("delta_fallbacks", Json::Int(r.fallbacks as i64)),
-                ("exhaustive", Json::Bool(r.exhaustive)),
                 ("scratch_pass", r.scratch.json()),
                 ("incremental_pass", r.incr.json()),
             ]),
         ));
-    }
-    if any_approx {
-        println!("(~ measured under the default real-example deadline; counts approximate)");
     }
     if std::env::var("MUSE_GATE").is_ok() {
         let mondial = rows
             .iter()
             .find(|r| r.scenario == "Mondial")
             .expect("Mondial row");
-        assert!(mondial.exhaustive, "the gate row must be deterministic");
         assert!(
             mondial.incr_steps * 3 <= mondial.scratch_steps,
             "delta gate: the Mondial wizard pass must spend >=3x fewer chase steps \

@@ -6,17 +6,26 @@
 //!
 //! Usage: `cargo run --release -p muse-bench --bin plan_bench [-- --json]
 //! [--threads N] [--only <scenario>]` (`MUSE_SCALE`/`MUSE_SEED` as usual;
-//! `--json` merges the `plan` section into `BENCH_baseline.json`;
-//! `MUSE_GATE=1` additionally enforces the planner's headline win — ≥5x
-//! fewer wizard query steps on Mondial at the paper scale). Step counts
-//! are measured exhaustively (real-example deadline disabled) so they are
-//! deterministic; rows marked `~` (TPC-H, whose exhaustive legacy search
-//! is combinatorial) fall back to the default deadline budget.
+//! `--json` merges the `plan` section into `BENCH_baseline.json`).
+//! Step counts are measured without the real-example deadline, so they
+//! are deterministic.
+//!
+//! `MUSE_GATE=1` (run at `MUSE_SCALE=1.0`, seed 1) enforces the search's
+//! headline win: the Mondial G1+G2+G3 pass spends ≥5x fewer query steps
+//! than [`MONDIAL_BASE_STEPS`], the planned pass of the two-copy `QIe`
+//! search that the binding tables replaced. With one table build per
+//! mapping the planner's own payoff is 1.0–1.1x, so the gate no longer
+//! compares the two passes here.
 
 use muse_bench::{baseline, chase_ready_mappings, env_scale, env_seed, Fig5Req};
 use muse_cliogen::GroupingStrategy;
 use muse_obs::{Json, Metrics};
 use muse_par::scope_map;
+
+/// `query.steps` of the planned Mondial G1+G2+G3 pass at scale 1.0, seed 1,
+/// under the two-copy `QIe` search (`BENCH_baseline.json`, `plan.Mondial`,
+/// recorded before the binding tables).
+const MONDIAL_BASE_STEPS: u64 = 5_729_488;
 
 struct Row {
     scenario: String,
@@ -24,24 +33,14 @@ struct Row {
     planned_steps: u64,
     chase_steps: u64,
     static_bound: u64,
-    /// Measured with the real-example deadline disabled (deterministic
-    /// counts). False only where the exhaustive QIe search is intractable
-    /// and the row runs under the default deadline instead.
-    exhaustive: bool,
 }
 
-fn wizard_steps(
-    s: &muse_scenarios::Scenario,
-    scale: f64,
-    seed: u64,
-    planned: bool,
-    exhaustive: bool,
-) -> u64 {
+fn wizard_steps(s: &muse_scenarios::Scenario, scale: f64, seed: u64, planned: bool) -> u64 {
     let metrics = Metrics::enabled();
     let req = Fig5Req {
         metrics: &metrics,
         planned,
-        exhaustive,
+        exhaustive: true,
         delta: None,
     };
     for strategy in [
@@ -55,22 +54,16 @@ fn wizard_steps(
 }
 
 fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
-    // Exhaustive real-example search (no wall-clock budget) makes the step
-    // counts deterministic — the default 750 ms deadline truncates slow
-    // searches, so counts under it depend on machine load. TPC-H is the
-    // exception: its legacy QIe searches are combinatorial at the paper
-    // scale (hours, in either eval mode — the limit-mode search keeps the
-    // legacy binding order, so plans don't rescue it), and its row runs
-    // under the default deadline instead, marked `~` in the table.
-    let exhaustive = s.name != "TPCH";
+    // No wall-clock cap on the binding-table builds makes the step counts
+    // deterministic — the default 750 ms cap would make them load-dependent.
     let t = std::time::Instant::now();
-    let legacy_steps = wizard_steps(s, scale, seed, false, exhaustive);
+    let legacy_steps = wizard_steps(s, scale, seed, false);
     eprintln!(
         "  [{:>8.1}s] {}: legacy pass done ({legacy_steps} steps)",
         t.elapsed().as_secs_f64(),
         s.name
     );
-    let planned_steps = wizard_steps(s, scale, seed, true, exhaustive);
+    let planned_steps = wizard_steps(s, scale, seed, true);
     eprintln!(
         "  [{:>8.1}s] {}: planned pass done ({planned_steps} steps)",
         t.elapsed().as_secs_f64(),
@@ -105,7 +98,6 @@ fn measure(s: &muse_scenarios::Scenario, scale: f64, seed: u64) -> Row {
         planned_steps,
         chase_steps,
         static_bound,
-        exhaustive,
     }
 }
 
@@ -131,19 +123,11 @@ fn main() {
         measure(&scenarios[i], scale, seed)
     });
     let mut sections = Vec::new();
-    let mut any_approx = false;
     for r in &rows {
         let ratio = r.legacy_steps as f64 / r.planned_steps.max(1) as f64;
-        any_approx |= !r.exhaustive;
         println!(
-            "{:<9} {:>14} {:>14} {:>5.1}x{} | {:>12} {:>14}",
-            r.scenario,
-            r.legacy_steps,
-            r.planned_steps,
-            ratio,
-            if r.exhaustive { " " } else { "~" },
-            r.chase_steps,
-            r.static_bound
+            "{:<9} {:>14} {:>14} {:>5.1}x  | {:>12} {:>14}",
+            r.scenario, r.legacy_steps, r.planned_steps, ratio, r.chase_steps, r.static_bound
         );
         assert!(
             r.chase_steps <= r.static_bound,
@@ -160,29 +144,27 @@ fn main() {
                 ("speedup", Json::Num(ratio)),
                 ("chase_steps_observed", Json::Int(r.chase_steps as i64)),
                 ("chase_steps_bound", Json::Int(r.static_bound as i64)),
-                ("exhaustive", Json::Bool(r.exhaustive)),
             ]),
         ));
-    }
-    if any_approx {
-        println!("(~ measured under the default real-example deadline; counts approximate)");
     }
     if std::env::var("MUSE_GATE").is_ok() {
         let mondial = rows
             .iter()
             .find(|r| r.scenario == "Mondial")
             .expect("Mondial row");
-        assert!(mondial.exhaustive, "the gate row must be deterministic");
         assert!(
-            mondial.planned_steps * 5 <= mondial.legacy_steps,
-            "plan gate: Mondial wizard pass must spend >=5x fewer query steps \
-             (legacy {}, planned {})",
-            mondial.legacy_steps,
+            scale == 1.0 && seed == 1,
+            "the gate's base was recorded at scale 1.0, seed 1 (got {scale}, {seed})"
+        );
+        assert!(
+            mondial.planned_steps * 5 <= MONDIAL_BASE_STEPS,
+            "search gate: the Mondial wizard pass must spend >=5x fewer query steps \
+             than the two-copy search's {MONDIAL_BASE_STEPS} (planned {})",
             mondial.planned_steps
         );
         println!(
-            "gate ok: Mondial {:.1}x >= 5x",
-            mondial.legacy_steps as f64 / mondial.planned_steps.max(1) as f64
+            "gate ok: Mondial {:.1}x >= 5x fewer query steps than the two-copy search",
+            MONDIAL_BASE_STEPS as f64 / mondial.planned_steps.max(1) as f64
         );
     }
     if baseline::wants_json() {

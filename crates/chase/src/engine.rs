@@ -172,13 +172,12 @@ impl Default for ChaseReq<'_> {
 
 impl<'a> ChaseReq<'a> {
     /// The evaluation request every `for`-clause enumeration of this chase
-    /// runs under: the chase's metrics, budget and hints, no row limit.
+    /// runs under: the chase's metrics, budget and hints.
     pub(crate) fn eval_req(&self) -> EvalReq<'a> {
         EvalReq {
             metrics: self.metrics,
             budget: self.budget,
             hints: self.hints,
-            limit: None,
         }
     }
 

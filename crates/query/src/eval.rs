@@ -1,15 +1,15 @@
 //! Backtracking evaluation of conjunctive queries with lazy hash indexes.
 //!
-//! There is one entry point, [`EvalReq::run`]. Everything that varies
-//! between callers — metrics, a budget, planner hints, a row limit — is a
-//! field of the [`EvalReq`], and its `Default` is the plain evaluation.
+//! There is one search behind one request type. Everything that varies
+//! between callers — metrics, a budget, planner hints — is a field of the
+//! [`EvalReq`], and its `Default` is the plain evaluation. [`EvalReq::run`]
+//! returns owned rows; [`EvalReq::run_refs`] returns the same rows as
+//! references into the instance, for callers that only read them.
 //!
 //! Instrumentation (all behind [`Metrics`], zero-cost when disabled):
 //!
 //! * `query.evals` — evaluation operations started,
 //! * `query.steps` — backtracking search steps,
-//! * `query.steps_limited` — the share of `query.steps` spent by searches
-//!   with a row limit,
 //! * `query.index_hits` / `query.index_misses` — lazy hash-index cache
 //!   probes that found / had to build an index,
 //! * `query.timeouts` — evaluations cut short by their deadline,
@@ -30,6 +30,10 @@ use crate::plan::{plan_query, EvalPlan};
 
 /// One result row: a tuple per query variable, in variable order.
 pub type Binding = Vec<Tuple>;
+
+/// One result row by reference: the instance's own tuples, one per query
+/// variable, in variable order.
+pub type BindingRef<'i> = Vec<&'i Tuple>;
 
 /// One query evaluation. Rows come back in a deterministic order (the
 /// ordered containers of [`Instance`] drive iteration) that no field of
@@ -73,21 +77,18 @@ pub struct EvalReq<'a> {
     /// steps and its `max_rows` caps the rows returned. Either one cutting
     /// the search short returns [`Outcome::Truncated`] with the rows found
     /// so far — always a prefix of the complete result — and records the
-    /// truncation under `budget.*`. `QIe` carries its real-example deadline
-    /// here, to fall back to a synthetic example "if a real example was
-    /// not found after a fixed amount of time" (Sec. VI).
+    /// truncation under `budget.*`. The real-example search carries its
+    /// wall-clock cap here, to fall back to a synthetic example "if a real
+    /// example was not found after a fixed amount of time" (Sec. VI).
     pub budget: &'a Budget,
     /// Source selectivity hints. When given, the evaluator plans the query
     /// ([`plan_query`]) and probes a composite hash index on every
-    /// equality bound at each position instead of a single attribute; an
-    /// unlimited search without a deadline also binds variables in plan
+    /// equality bound at each position instead of a single attribute; a
+    /// search without a row cap or deadline also binds variables in plan
     /// order and restores the plan-less emission order by rank-sorting.
     /// Same rows in the same order, far fewer `query.steps`. A query the
     /// planner rejects runs plan-less.
     pub hints: Option<&'a SelectivityHints>,
-    /// Return at most this many rows. Reaching it is a complete answer,
-    /// not a truncation: only the budget's own axes truncate.
-    pub limit: Option<usize>,
 }
 
 impl Default for EvalReq<'_> {
@@ -96,26 +97,40 @@ impl Default for EvalReq<'_> {
             metrics: Metrics::disabled_ref(),
             budget: Budget::unlimited_ref(),
             hints: None,
-            limit: None,
         }
     }
 }
 
 impl EvalReq<'_> {
-    /// Evaluate `query` over `inst` under this request. Without a budget
-    /// limit (or an injected `query.eval` fault, which behaves as an
-    /// expired deadline) the outcome is always [`Outcome::Complete`].
+    /// Evaluate `query` over `inst` under this request: [`EvalReq::run_refs`]
+    /// with every row's tuples cloned.
     pub fn run(
         &self,
         schema: &Schema,
         inst: &Instance,
         query: &Query,
     ) -> Result<Outcome<Vec<Binding>>, QueryError> {
+        Ok(self.run_refs(schema, inst, query)?.map(|rows| {
+            rows.into_iter()
+                .map(|row| row.into_iter().cloned().collect())
+                .collect()
+        }))
+    }
+
+    /// Evaluate `query` over `inst` under this request, returning each
+    /// row's tuples by reference. Without a budget limit (or an injected
+    /// `query.eval` fault, which behaves as an expired deadline) the
+    /// outcome is always [`Outcome::Complete`].
+    pub fn run_refs<'i>(
+        &self,
+        schema: &Schema,
+        inst: &'i Instance,
+        query: &Query,
+    ) -> Result<Outcome<Vec<BindingRef<'i>>>, QueryError> {
         let EvalReq {
             metrics,
             budget,
             hints,
-            limit,
         } = *self;
         if muse_fault::point(faultpoints::QUERY_EVAL).is_some() {
             let reason = TruncationReason::DeadlineExpired;
@@ -128,19 +143,15 @@ impl EvalReq<'_> {
         // A plan is an optimization, never a prerequisite: planning
         // failures fall back to the evaluator's own greedy order.
         let plan = hints.and_then(|h| plan_query(schema, query, Some(h)).ok());
-        let budget_rows = budget
+        let max_rows = budget
             .max_rows
             .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
-        let eff_limit = match (limit, budget_rows) {
-            (Some(l), Some(cap)) => Some(l.min(cap)),
-            (l, cap) => l.or(cap),
-        };
         let (rows, timed_out) = enumerate(
             schema,
             inst,
             query,
             plan.as_ref(),
-            eff_limit,
+            max_rows,
             budget.deadline,
             metrics,
         )?;
@@ -152,11 +163,8 @@ impl EvalReq<'_> {
                 reason,
             });
         }
-        // The budget's cap (strictly tighter than any caller limit) stopped a
-        // search that might have produced more rows.
-        let budget_capped =
-            budget_rows.is_some_and(|cap| rows.len() >= cap && limit.is_none_or(|l| cap < l));
-        if budget_capped {
+        // The row cap stopped a search that might have produced more rows.
+        if max_rows.is_some_and(|cap| rows.len() >= cap) {
             let reason = TruncationReason::RowLimit;
             reason.record(metrics);
             return Ok(Outcome::Truncated {
@@ -168,31 +176,31 @@ impl EvalReq<'_> {
     }
 }
 
-/// The search behind [`EvalReq::run`]: at most `limit` rows, cut short at
-/// `deadline`, driven by `ext_plan` when given. Returns the rows plus
-/// whether the deadline cut the search short.
+/// The search behind [`EvalReq::run_refs`]: at most `max_rows` rows, cut
+/// short at `deadline`, driven by `ext_plan` when given. Returns the rows
+/// plus whether the deadline cut the search short.
 ///
 /// A plan changes *how* the search runs, never *what* it returns:
 ///
 /// * at every position the search probes a composite hash index on all
 ///   equality attributes bound at that point (the plan-less path probes a
-///   single attribute) — an order-preserving refinement, so limited and
+///   single attribute) — an order-preserving refinement, so capped and
 ///   deadlined searches return the exact prefix the plan-less search would;
-/// * for complete enumerations (no limit, no deadline) the search binds
+/// * for complete enumerations (no row cap, no deadline) the search binds
 ///   variables in plan order, and emitted rows are restored to the
 ///   plan-less emission order by rank-sorting before returning.
 ///
 /// A plan that does not fit `query` (wrong arity, not a permutation,
 /// children before parents) is ignored.
-fn enumerate(
+fn enumerate<'i>(
     schema: &Schema,
-    inst: &Instance,
+    inst: &'i Instance,
     query: &Query,
     ext_plan: Option<&EvalPlan>,
-    limit: Option<usize>,
+    max_rows: Option<usize>,
     deadline: Option<Instant>,
     metrics: &Metrics,
-) -> Result<(Vec<Binding>, bool), QueryError> {
+) -> Result<(Vec<BindingRef<'i>>, bool), QueryError> {
     let _span = metrics.timer("query.eval_time").start();
     metrics.incr("query.evals");
     query.validate(schema)?;
@@ -200,10 +208,10 @@ fn enumerate(
         // The empty conjunction has exactly one (empty) binding.
         return Ok((vec![Vec::new()], false));
     }
-    // Plan order is only safe when the search is exhaustive: a limited or
-    // deadlined search must keep the legacy order so its result prefix is
-    // byte-identical.
-    let use_ext_order = ext_plan.is_some() && limit.is_none() && deadline.is_none();
+    // Plan order is only safe when the search is exhaustive: a capped or
+    // deadlined search keeps the legacy order, so what it returns is a
+    // prefix of the complete result.
+    let use_ext_order = ext_plan.is_some() && max_rows.is_none() && deadline.is_none();
     let plan = Plan::build_ext(schema, query, ext_plan, use_ext_order)?;
     let reorder = plan.emit_order.clone().map(|emit_order| Reorder {
         emit_order,
@@ -218,7 +226,7 @@ fn enumerate(
         stack: Vec::with_capacity(query.vars.len()),
         index_cache: HashMap::new(),
         out: &mut out,
-        limit,
+        max_rows,
         deadline,
         steps: 0,
         timed_out: false,
@@ -231,27 +239,21 @@ fn enumerate(
     let reorder = search.reorder.take();
     drop(search);
     metrics.add("query.steps", steps);
-    if limit.is_some() {
-        // The limited share of the step total: these searches keep the
-        // legacy binding order (prefix identity), so only composite probes
-        // — not plan order — can shrink them.
-        metrics.add("query.steps_limited", steps);
-    }
     if let Some(re) = reorder {
         // Restore the legacy emission order: sort rows by their tuples'
         // global enumeration ranks, compared in legacy binding order. Keys
         // are unique (identical key ⇒ identical row), so the order is total.
-        let mut paired: Vec<(Vec<u32>, Binding)> = re.keys.into_iter().zip(out).collect();
+        let mut paired: Vec<(Vec<u32>, BindingRef<'i>)> = re.keys.into_iter().zip(out).collect();
         paired.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out = paired.into_iter().map(|(_, row)| row).collect();
     }
-    // Consistency guard: a search that already produced its full `limit` of
-    // bindings is complete for the caller's purposes, even if the deadline
-    // check happened to fire on the same step. (`done()` tests the limit
-    // before the clock, so this should be unreachable — keep the invariant
-    // explicit rather than implied by check ordering.)
-    let limit_reached = limit.is_some_and(|l| out.len() >= l);
-    let timed_out = raw_timed_out && !limit_reached;
+    // Consistency guard: a search that already produced its full `max_rows`
+    // is reported as capped, not timed out, even if the deadline check
+    // happened to fire on the same step. (`done()` tests the cap before the
+    // clock, so this should be unreachable — keep the invariant explicit
+    // rather than implied by check ordering.)
+    let cap_reached = max_rows.is_some_and(|l| out.len() >= l);
+    let timed_out = raw_timed_out && !cap_reached;
     if timed_out {
         metrics.incr("query.timeouts");
     }
@@ -587,8 +589,8 @@ struct Search<'a, 'q, 'o> {
     /// variables are placeholders until their position is reached).
     stack: Vec<&'a Tuple>,
     index_cache: HashMap<(SetPath, Vec<usize>), AttrIndex<'a>>,
-    out: &'o mut Vec<Binding>,
-    limit: Option<usize>,
+    out: &'o mut Vec<BindingRef<'a>>,
+    max_rows: Option<usize>,
     deadline: Option<Instant>,
     steps: u64,
     timed_out: bool,
@@ -602,7 +604,7 @@ impl<'a, 'q, 'o> Search<'a, 'q, 'o> {
         if self.timed_out {
             return true;
         }
-        if self.limit.is_some_and(|l| self.out.len() >= l) {
+        if self.max_rows.is_some_and(|l| self.out.len() >= l) {
             return true;
         }
         // Check the deadline every 1024 search steps; a per-step syscall
@@ -646,10 +648,11 @@ impl<'a, 'q, 'o> Search<'a, 'q, 'o> {
             return;
         }
         if pos == self.plan.order.len() {
-            // Emit in *variable* order, not binding order.
-            let mut row: Vec<Tuple> = vec![Vec::new(); self.query.vars.len()];
+            // Emit in *variable* order, not binding order. Every slot is
+            // overwritten: `order` is a permutation of the variables.
+            let mut row: BindingRef<'a> = vec![self.stack[0]; self.query.vars.len()];
             for (p, &v) in self.plan.order.iter().enumerate() {
-                row[v] = self.stack[p].clone();
+                row[v] = self.stack[p];
             }
             let (inst, query, plan, stack) = (self.inst, self.query, self.plan, &self.stack);
             if let Some(re) = self.reorder.as_mut() {
@@ -863,17 +866,42 @@ mod tests {
     }
 
     #[test]
-    fn limit_stops_early() {
+    fn row_cap_stops_early() {
         let s = compdb();
         let i = fig2(&s);
         let mut q = Query::new();
         q.var("e", SetPath::parse("Employees"));
+        let budget = Budget::unlimited().with_max_rows(2);
         let req = EvalReq {
-            limit: Some(2),
+            budget: &budget,
             ..EvalReq::default()
         };
         let rows = req.run(&s, &i, &q).unwrap().into_value();
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows, all(&s, &i, &q)[..2]);
+    }
+
+    #[test]
+    fn run_refs_returns_the_instance_tuples_of_run() {
+        let s = compdb();
+        let i = fig2(&s);
+        let mut q = Query::new();
+        let c = q.var("c", SetPath::parse("Companies"));
+        let p = q.var("p", SetPath::parse("Projects"));
+        q.add_eq(Operand::proj(p, "cid"), Operand::proj(c, "cid"));
+        let refs = EvalReq::default()
+            .run_refs(&s, &i, &q)
+            .unwrap()
+            .into_value();
+        let owned: Vec<Binding> = refs
+            .iter()
+            .map(|row| row.iter().map(|t| (*t).clone()).collect())
+            .collect();
+        assert_eq!(owned, all(&s, &i, &q));
+        let companies: Vec<&Tuple> = i.tuples(i.root_id("Companies").unwrap()).collect();
+        assert!(
+            std::ptr::eq(refs[0][c], companies[0]),
+            "a reference, not a copy"
+        );
     }
 
     #[test]
@@ -1035,18 +1063,26 @@ mod tests {
             let m = Metrics::disabled();
             let (rows, timed_out) = enumerate(&s, &inst, &q, Some(&plan), None, None, &m).unwrap();
             assert!(!timed_out);
+            let rows: Vec<Binding> = rows
+                .into_iter()
+                .map(|row| row.into_iter().cloned().collect())
+                .collect();
             assert_eq!(rows, reference, "order {order:?} diverged");
         }
-        // Limited searches keep the legacy order: identical prefixes.
+        // Capped searches keep the legacy order: identical prefixes.
         let hints = SelectivityHints::default();
-        for limit in [1, 3, 7] {
+        for cap in [1, 3, 7] {
+            let budget = Budget::unlimited().with_max_rows(cap);
             let req = EvalReq {
+                budget: &budget,
                 hints: Some(&hints),
-                limit: Some(limit),
                 ..EvalReq::default()
             };
             let rows = req.run(&s, &inst, &q).unwrap().into_value();
-            assert_eq!(rows.as_slice(), &reference[..limit.min(reference.len())]);
+            assert_eq!(
+                rows.as_slice(),
+                &reference[..(cap as usize).min(reference.len())]
+            );
         }
     }
 
@@ -1126,40 +1162,6 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.counter("budget.truncations"), 1);
         assert_eq!(snap.counter("budget.row_limit_hits"), 1);
-    }
-
-    #[test]
-    fn caller_limit_is_not_a_truncation() {
-        let s = compdb();
-        let i = fig2(&s);
-        let mut q = Query::new();
-        q.var("e", SetPath::parse("Employees"));
-        let run = |budget: &Budget, limit: Option<usize>| {
-            let req = EvalReq {
-                budget,
-                limit,
-                ..EvalReq::default()
-            };
-            req.run(&s, &i, &q).unwrap()
-        };
-        // Caller asks for 2 rows under a looser (or equal) budget: complete.
-        for budget in [
-            Budget::unlimited(),
-            Budget::unlimited().with_max_rows(2),
-            Budget::unlimited().with_max_rows(10),
-        ] {
-            let out = run(&budget, Some(2));
-            assert!(out.is_complete(), "budget {budget:?}");
-            assert_eq!(out.value().len(), 2);
-        }
-        // A tighter budget than the caller's ask is a truncation.
-        let out = run(&Budget::unlimited().with_max_rows(1), Some(2));
-        assert_eq!(out.reason(), Some(TruncationReason::RowLimit));
-        assert_eq!(out.value().len(), 1);
-        // An exhaustive result below the cap is complete.
-        let out = run(&Budget::unlimited().with_max_rows(50), None);
-        assert!(out.is_complete());
-        assert_eq!(out.value().len(), 3);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Conjunctive queries with equalities and inequalities over NR instances.
 //!
-//! This is the substrate Muse uses to pull *real* data examples out of the
-//! designer's source instance: each probe builds a query `QIe` whose atoms
-//! are two (Muse-G) or one (Muse-D) copies of a mapping's `for`-clause, plus
-//! the agreement equalities and the disagreement inequalities that make the
-//! resulting example differentiating (Sec. III-A and IV-A). The chase engine
-//! also compiles mapping `for`-clauses into these queries to enumerate
-//! bindings.
+//! Mapping `for`-clauses compile into these queries. The chase enumerates
+//! their bindings to fire each mapping (Sec. II), and Muse pulls *real*
+//! data examples out of the designer's source instance from them: each
+//! `for` clause is evaluated once, and every `QIe` probe — one (Muse-D) or
+//! two (Muse-G) copies of the clause plus agreement equalities and
+//! disagreement inequalities (Secs. III-A, IV-A) — is answered from that
+//! one binding set by `muse_wizard::table`.
 //!
 //! The evaluator is a backtracking join with greedy connected-variable
-//! ordering and lazily built hash indexes per `(set path, attribute)`, which
-//! keeps `QIe` retrieval sub-second on the paper-sized (10 MB) instances.
-//! It has one entry point, [`EvalReq::run`]: metrics, a budget, planner
-//! hints and a row limit are fields of the request.
+//! ordering and lazily built hash indexes per `(set path, attribute)`.
+//! It has one request type, [`EvalReq`]: metrics, a budget and planner
+//! hints are its fields. [`EvalReq::run`] returns owned rows and
+//! [`EvalReq::run_refs`] the same rows as references into the instance.
 
 #![forbid(unsafe_code)]
 
@@ -24,6 +24,6 @@ pub mod plan;
 
 pub use ast::{Operand, QVar, Query};
 pub use error::QueryError;
-pub use eval::{greedy_order, Binding, EvalReq};
+pub use eval::{greedy_order, Binding, BindingRef, EvalReq};
 pub use hints::SelectivityHints;
 pub use plan::{plan_query, EvalPlan, PlanStep};

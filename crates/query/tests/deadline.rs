@@ -38,27 +38,27 @@ fn hard_query() -> Query {
     q
 }
 
-/// Evaluate with a row limit and an optional deadline (carried by the
-/// budget). The flag says whether the deadline cut the search short.
+/// Evaluate under a budget with an optional row cap and an optional
+/// deadline. Returns the rows and the truncation reason, if any.
 fn run_until(
     s: &Schema,
     inst: &Instance,
     q: &Query,
-    limit: Option<usize>,
+    max_rows: Option<u64>,
     deadline: Option<Instant>,
-) -> (Vec<Binding>, bool) {
-    let budget = match deadline {
-        Some(at) => Budget::unlimited().with_deadline(at),
-        None => Budget::unlimited(),
-    };
+) -> (Vec<Binding>, Option<TruncationReason>) {
+    let mut budget = Budget::unlimited();
+    if let Some(n) = max_rows {
+        budget = budget.with_max_rows(n);
+    }
+    if let Some(at) = deadline {
+        budget = budget.with_deadline(at);
+    }
     let req = EvalReq {
         budget: &budget,
-        limit,
         ..EvalReq::default()
     };
-    let (rows, reason) = req.run(s, inst, q).unwrap().into_parts();
-    assert!(reason.is_none_or(|r| r == TruncationReason::DeadlineExpired));
-    (rows, reason.is_some())
+    req.run(s, inst, q).unwrap().into_parts()
 }
 
 fn big_instance(schema: &Schema, n: i64) -> Instance {
@@ -77,9 +77,9 @@ fn expired_deadline_cuts_the_search_short() {
     let q = hard_query();
     // A deadline in the past: the search must report a timeout promptly.
     let start = Instant::now();
-    let (rows, timed_out) = run_until(&s, &inst, &q, Some(1), Some(Instant::now()));
+    let (rows, reason) = run_until(&s, &inst, &q, Some(1), Some(Instant::now()));
     assert!(rows.is_empty());
-    assert!(timed_out);
+    assert_eq!(reason, Some(TruncationReason::DeadlineExpired));
     assert!(
         start.elapsed() < Duration::from_secs(5),
         "cut short, not exhausted"
@@ -95,17 +95,17 @@ fn generous_deadline_does_not_affect_results() {
     let b = q.var("b", SetPath::parse("B"));
     q.add_eq(Operand::proj(a, "x"), Operand::proj(b, "x"));
     let deadline = Some(Instant::now() + Duration::from_secs(60));
-    let (rows, timed_out) = run_until(&s, &inst, &q, None, deadline);
+    let (rows, reason) = run_until(&s, &inst, &q, None, deadline);
     assert_eq!(rows.len(), 50);
-    assert!(!timed_out);
+    assert_eq!(reason, None);
 }
 
 #[test]
-fn reached_limit_beats_expired_deadline() {
-    // Regression: when the row limit is reached, the result set is complete
-    // for the caller's purposes, so an (even already expired) deadline must
-    // not be reported as a timeout. The search checks the limit before the
-    // clock and squashes the flag when `limit` was satisfied.
+fn reached_row_cap_beats_expired_deadline() {
+    // Regression: when the row cap is reached, the search stopped because
+    // of the cap, so an (even already expired) deadline must not be
+    // reported as the reason. The search checks the cap before the clock
+    // and squashes the timeout flag when the cap was reached.
     let s = schema();
     let inst = big_instance(&s, 3_000);
     let mut q = Query::new();
@@ -113,11 +113,12 @@ fn reached_limit_beats_expired_deadline() {
     let b = q.var("b", SetPath::parse("B"));
     q.add_eq(Operand::proj(a, "x"), Operand::proj(b, "x"));
     let expired = Some(Instant::now() - Duration::from_secs(1));
-    let (rows, timed_out) = run_until(&s, &inst, &q, Some(1), expired);
-    assert_eq!(rows.len(), 1, "the limit was reachable");
-    assert!(
-        !timed_out,
-        "a limit-complete result must not report a timeout"
+    let (rows, reason) = run_until(&s, &inst, &q, Some(1), expired);
+    assert_eq!(rows.len(), 1, "the cap was reachable");
+    assert_eq!(
+        reason,
+        Some(TruncationReason::RowLimit),
+        "a capped result must not report a timeout"
     );
 }
 
@@ -126,7 +127,7 @@ fn no_deadline_is_exhaustive() {
     let s = schema();
     let inst = big_instance(&s, 20);
     let q = hard_query();
-    let (rows, timed_out) = run_until(&s, &inst, &q, Some(1), None);
+    let (rows, reason) = run_until(&s, &inst, &q, Some(1), None);
     assert!(rows.is_empty());
-    assert!(!timed_out);
+    assert_eq!(reason, None);
 }

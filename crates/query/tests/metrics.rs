@@ -106,11 +106,12 @@ fn timeout_counter_fires_with_the_flag() {
     let mut q = join_query();
     q.add_neq(Operand::proj(0, "y"), Operand::proj(0, "y"));
     let metrics = Metrics::enabled();
-    let budget = Budget::unlimited().with_deadline(Instant::now());
+    let budget = Budget::unlimited()
+        .with_max_rows(1)
+        .with_deadline(Instant::now());
     let req = EvalReq {
         metrics: &metrics,
         budget: &budget,
-        limit: Some(1),
         ..EvalReq::default()
     };
     let out = req.run(&s, &inst, &q).unwrap();

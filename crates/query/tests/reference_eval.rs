@@ -9,7 +9,7 @@
 use muse_nr::{
     Constraints, Field, Instance, InstanceBuilder, Key, Schema, SetPath, Tuple, Ty, Value,
 };
-use muse_obs::{Metrics, Rng};
+use muse_obs::{Budget, Metrics, Rng};
 use muse_query::{Binding, EvalReq, Operand, Query, SelectivityHints};
 
 /// Small alphabets force collisions, so joins actually match.
@@ -60,21 +60,29 @@ fn hint_sets(schema: &Schema) -> [SelectivityHints; 2] {
     ]
 }
 
-/// Evaluate under a request with the given hints and row limit.
+/// Evaluate under a request with the given hints and an optional row cap
+/// (`Budget::max_rows`).
 fn run(
     schema: &Schema,
     inst: &Instance,
     q: &Query,
     hints: Option<&SelectivityHints>,
-    limit: Option<usize>,
+    max_rows: Option<u64>,
 ) -> Vec<Binding> {
+    let budget = match max_rows {
+        Some(n) => Budget::unlimited().with_max_rows(n),
+        None => Budget::unlimited(),
+    };
     let req = EvalReq {
+        budget: &budget,
         hints,
-        limit,
         ..EvalReq::default()
     };
     let out = req.run(schema, inst, q).expect("evaluate");
-    assert!(out.is_complete(), "no budget, no truncation");
+    assert!(
+        max_rows.is_some() || out.is_complete(),
+        "no budget, no truncation"
+    );
     out.into_value()
 }
 
@@ -343,12 +351,12 @@ fn search_counters_are_deterministic_and_results_match_the_reference() {
     assert!(total_steps > 0, "the sweep must exercise the search loop");
 }
 
-/// Row limits: a limited evaluation is exactly a prefix of the engine's own
-/// deterministic unlimited order, every returned row is a genuine answer
+/// Row caps: a capped evaluation is exactly a prefix of the engine's own
+/// deterministic uncapped order, every returned row is a genuine answer
 /// (member of the reference result), and every hinted run returns the same
 /// prefix.
 #[test]
-fn row_limits_return_prefixes_of_the_full_result() {
+fn row_caps_return_prefixes_of_the_full_result() {
     let schema = ref_schema();
     let hint_sets = hint_sets(&schema);
     for seed in 0..32u64 {
@@ -358,24 +366,24 @@ fn row_limits_return_prefixes_of_the_full_result() {
 
         let full = run(&schema, &inst, &q, None, None);
         let reference = naive_eval(&schema, &inst, &q);
-        for limit in [0, 1, 2, 5, full.len() + 1] {
-            let limited = run(&schema, &inst, &q, None, Some(limit));
+        for cap in [0, 1, 2, 5, full.len() + 1] {
+            let capped = run(&schema, &inst, &q, None, Some(cap as u64));
             for (h, hints) in hint_sets.iter().enumerate() {
                 assert_eq!(
-                    run(&schema, &inst, &q, Some(hints), Some(limit)),
-                    limited,
-                    "seed {seed}, limit {limit}, hint set {h}: plan-driven rows differ"
+                    run(&schema, &inst, &q, Some(hints), Some(cap as u64)),
+                    capped,
+                    "seed {seed}, cap {cap}, hint set {h}: plan-driven rows differ"
                 );
             }
             assert_eq!(
-                limited,
-                full[..limit.min(full.len())],
-                "seed {seed}, limit {limit}: not a prefix of the unlimited run"
+                capped,
+                full[..cap.min(full.len())],
+                "seed {seed}, cap {cap}: not a prefix of the uncapped run"
             );
-            for row in &limited {
+            for row in &capped {
                 assert!(
                     reference.contains(row),
-                    "seed {seed}, limit {limit}: row not in the reference result"
+                    "seed {seed}, cap {cap}: row not in the reference result"
                 );
             }
         }

@@ -11,7 +11,7 @@ use muse_cliogen::GroupingStrategy;
 use muse_nr::Instance;
 use muse_obs::{Budget, Json, Metrics};
 use muse_scenarios::Scenario;
-use muse_wizard::{Answer, ProbeCache, Session, Step, StepMemo, WizardError};
+use muse_wizard::{Answer, BindingTables, ProbeCache, Session, Step, StepMemo, WizardError};
 
 use crate::oracle;
 use crate::proto;
@@ -375,6 +375,12 @@ pub struct SessionEntry {
     /// recorded prefix, or under a budget or fault plan); runtime-only, so
     /// the first step after a restart replays in full and records it.
     pub step_memo: StepMemo,
+    /// The session's binding tables, the source of real examples: the
+    /// table of the `for` clause being designed is built at its first live
+    /// probe and reused by every later answer's step. Byte-invisible and
+    /// consulted under the same gate as the memo; runtime-only, never in
+    /// the WAL.
+    pub tables: Arc<BindingTables>,
 }
 
 impl SessionEntry {
@@ -411,7 +417,8 @@ impl SessionEntry {
         // and the wizards consult the probe cache and `step` the memo only
         // under their replay gate.
         .with_delta(&self.delta)
-        .with_step_memo(&self.step_memo);
+        .with_step_memo(&self.step_memo)
+        .with_binding_tables(Arc::clone(&self.tables));
         if let Some(cache) = probes {
             session = session.with_probe_cache(cache, &self.probe_ctx);
         }
@@ -491,6 +498,7 @@ impl Store {
             panics: 0,
             delta: Arc::new(DeltaStore::new()),
             step_memo: StepMemo::new(),
+            tables: Arc::new(BindingTables::new()),
         }));
         map.insert(id, Arc::clone(&entry));
         Ok(entry)
@@ -517,6 +525,7 @@ impl Store {
             panics: 0,
             delta: Arc::new(DeltaStore::new()),
             step_memo: StepMemo::new(),
+            tables: Arc::new(BindingTables::new()),
         }));
         self.map().insert(id, Arc::clone(&entry));
         self.next_id.fetch_max(id + 1, Ordering::Relaxed);

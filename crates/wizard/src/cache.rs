@@ -1,7 +1,8 @@
 //! Process-wide memoization of probe questions.
 //!
 //! Building one probe question is the wizard's unit of expensive work: a
-//! `QIe` example search plus one or two chases. The inputs are purely
+//! `QIe` example search (a binding-table lookup once the table is built)
+//! plus one or two chases. The inputs are purely
 //! deterministic — (schemas, constraints, instance, mapping text, probe
 //! parameters) — so a served deployment answering many similar sessions
 //! recomputes identical questions over and over, and every `Session::step`
@@ -46,7 +47,8 @@ use crate::museg::GroupingQuestion;
 /// The replay gate: a probe question, or a resumed [`crate::Session::step`],
 /// is a pure function of its inputs only when the budget is unlimited, the
 /// real-example search is uncapped and no fault plan is armed (see the
-/// module docs). The [`ProbeCache`] and the [`crate::step::StepMemo`] are
+/// module docs). The [`ProbeCache`], the [`crate::step::StepMemo`] and
+/// binding tables kept across calls ([`crate::table::BindingTables`]) are
 /// used only when it holds.
 pub(crate) fn replay_safe(budget: &Budget, real_example_budget: Option<Duration>) -> bool {
     budget.is_unlimited() && real_example_budget.is_none() && !muse_fault::armed()
@@ -230,6 +232,8 @@ mod tests {
                 real: false,
                 timed_out: false,
                 elapsed: std::time::Duration::ZERO,
+                request: ExampleRequest::default(),
+                ranks: Vec::new(),
             },
             partial_target: muse_nr::Instance::new(&schema),
             choices: Vec::new(),

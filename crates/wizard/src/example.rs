@@ -4,9 +4,11 @@
 //! which must *agree* across the two copies of the `for`-clause binding,
 //! which must *differ* (the probed attribute), and which pairs must be
 //! mutually *distinct* within a copy (Muse-D's alternatives). Muse first
-//! compiles the request into the query `QIe` and runs it against the real
-//! source instance; when no real tuples qualify it falls back to a
-//! synthetic instance built from fresh constants (Sec. III-A).
+//! looks for the request's `QIe` answer in the real source instance — set
+//! at a time, from the mapping's interned binding table
+//! ([`crate::table`]), whose least qualifying rows are the example — and
+//! when no real tuples qualify it falls back to a synthetic instance built
+//! from fresh constants (Sec. III-A).
 //!
 //! The [`ClassSpace`] pre-computes, for one mapping: the `poss` reference
 //! list, the equality classes induced by the `satisfy` clause (two
@@ -23,10 +25,11 @@ use muse_mapping::poss::all_source_refs;
 use muse_mapping::{Mapping, PathRef};
 use muse_nr::constraints::fdset::{attrs, AttrSet, FdSet};
 use muse_nr::{Constraints, Instance, Schema, SetPath, Tuple, Ty, Value};
-use muse_obs::{Budget, Metrics};
-use muse_query::{EvalReq, Operand, Query, SelectivityHints};
+use muse_obs::Metrics;
+use muse_query::SelectivityHints;
 
 use crate::error::WizardError;
+use crate::table::BindingTables;
 
 /// Binding rows: `rows[copy][var]` = a variable's atomic values in order.
 pub type Rows = Vec<Vec<Vec<Value>>>;
@@ -230,9 +233,10 @@ pub struct ExampleRequest {
     /// Pairs of poss indices that must carry distinct values within every
     /// copy (Muse-D alternative values).
     pub distinct: Vec<(usize, usize)>,
-    /// Time budget for searching the real instance; on expiry Muse falls
-    /// back to a synthetic example ("if a real example was not found after
-    /// a fixed amount of time", Sec. VI). `None` searches exhaustively.
+    /// Time budget for building the mapping's binding table from the real
+    /// instance; a build it cuts short is thrown away and Muse falls back
+    /// to a synthetic example ("if a real example was not found after a
+    /// fixed amount of time", Sec. VI). `None` means no cap.
     pub real_budget: Option<Duration>,
 }
 
@@ -247,11 +251,17 @@ pub struct Example {
     pub rows: Rows,
     /// True when drawn from the real source instance via `QIe`.
     pub real: bool,
-    /// True when the real-instance search hit its time budget (and the
+    /// True when the binding-table build hit its time budget (and the
     /// example is therefore synthetic).
     pub timed_out: bool,
-    /// Time spent constructing (and, for real examples, querying).
+    /// Time spent constructing (and, for real examples, searching).
     pub elapsed: Duration,
+    /// The request the example answers.
+    pub request: ExampleRequest,
+    /// For a real example, the rank of each copy's row in the mapping's
+    /// binding table — the least qualifying row or pair. Empty for a
+    /// synthetic one.
+    pub ranks: Vec<usize>,
 }
 
 /// Build an example: try the real instance first (when given), fall back to
@@ -263,47 +273,67 @@ pub fn build_example(
     source_schema: &Schema,
     real_instance: Option<&Instance>,
 ) -> Result<Example, WizardError> {
+    let tables = BindingTables::new();
     build_example_with(
         m,
         space,
         req,
         source_schema,
-        real_instance,
+        real_instance.map(|inst| (inst, &tables)),
         None,
         &Metrics::disabled(),
     )
 }
 
-/// [`build_example`] with the real-instance search (`QIe`) instrumented
-/// through `metrics` (the `query.*` keys) and, when `hints` is given,
-/// planned by the evaluator (composite key-aware hash probes — identical
-/// results, far fewer `query.steps`; see [`EvalReq::hints`]).
+/// [`build_example`] drawing real examples from `real`'s instance through
+/// the holder of its binding tables: the table of `m`'s `for` clause is
+/// built at the first probe (planned by the evaluator when `hints` is
+/// given, see [`muse_query::EvalReq::hints`]) and answers every later probe
+/// of the clause. `metrics` records the build's `query.*` keys and the
+/// `wizard.table_*` keys.
 #[allow(clippy::too_many_arguments)]
 pub fn build_example_with(
     m: &Mapping,
     space: &ClassSpace,
     req: &ExampleRequest,
     source_schema: &Schema,
-    real_instance: Option<&Instance>,
+    real: Option<(&Instance, &BindingTables)>,
     hints: Option<&SelectivityHints>,
     metrics: &Metrics,
 ) -> Result<Example, WizardError> {
     let start = Instant::now();
     let mut timed_out = false;
-    if let Some(real) = real_instance {
-        let deadline = req.real_budget.map(|b| start + b);
-        let (rows, cut_short) =
-            query_real(m, space, req, source_schema, real, hints, deadline, metrics)?;
-        timed_out = cut_short;
-        if let Some(rows) = rows {
-            let instance = materialize(m, source_schema, &rows)?;
-            return Ok(Example {
-                instance,
-                rows,
-                real: true,
-                timed_out: false,
-                elapsed: start.elapsed(),
-            });
+    if let Some((inst, tables)) = real {
+        let table = tables.get(
+            m,
+            space,
+            source_schema,
+            inst,
+            hints,
+            metrics,
+            req.real_budget,
+        )?;
+        match table {
+            None => timed_out = true,
+            Some(table) => {
+                let found = {
+                    let _span = metrics.timer("wizard.table_match_time").start();
+                    table.find(space, req)?
+                };
+                if let Some(ranks) = found {
+                    let rows = table.rows_of(&ranks);
+                    let instance = materialize(m, source_schema, &rows)?;
+                    return Ok(Example {
+                        instance,
+                        rows,
+                        real: true,
+                        timed_out: false,
+                        elapsed: start.elapsed(),
+                        request: req.clone(),
+                        ranks,
+                    });
+                }
+            }
         }
     }
     let rows = synthetic_rows(m, space, req, source_schema)?;
@@ -314,6 +344,8 @@ pub fn build_example_with(
         real: false,
         timed_out,
         elapsed: start.elapsed(),
+        request: req.clone(),
+        ranks: Vec::new(),
     })
 }
 
@@ -369,121 +401,6 @@ fn synthetic_rows(
 /// A readable stem for synthetic values: `cname` → `cname-`.
 fn synth_name(attr: &str) -> String {
     format!("{attr}-")
-}
-
-/// Compile `QIe` and run it against the real source instance.
-#[allow(clippy::too_many_arguments)]
-fn query_real(
-    m: &Mapping,
-    space: &ClassSpace,
-    req: &ExampleRequest,
-    source_schema: &Schema,
-    real: &Instance,
-    hints: Option<&SelectivityHints>,
-    deadline: Option<Instant>,
-    metrics: &Metrics,
-) -> Result<(Option<Rows>, bool), WizardError> {
-    let n = m.source_vars.len();
-    let mut q = Query::new();
-    for copy in 0..req.copies {
-        for v in &m.source_vars {
-            match &v.parent {
-                None => {
-                    q.var(format!("{}#{copy}", v.name), v.set.clone());
-                }
-                Some((p, field)) => {
-                    q.child_var(format!("{}#{copy}", v.name), copy * n + p, field.clone());
-                }
-            }
-        }
-        for (a, b) in &m.source_eqs {
-            q.add_eq(
-                Operand::proj(copy * n + a.var, a.attr.clone()),
-                Operand::proj(copy * n + b.var, b.attr.clone()),
-            );
-        }
-    }
-    if req.copies == 2 {
-        // Cross-copy agreement: one equality per agreeing class.
-        let mut done = std::collections::BTreeSet::new();
-        for i in 0..space.len() {
-            let rep = space.rep(i);
-            if req.agree & attrs([rep]) != 0 && done.insert(rep) {
-                let r = &space.poss[rep];
-                q.add_eq(
-                    Operand::proj(r.var, r.attr.clone()),
-                    Operand::proj(n + r.var, r.attr.clone()),
-                );
-            }
-        }
-        // Cross-copy disagreement on the probed classes.
-        let mut done = std::collections::BTreeSet::new();
-        for &i in &req.differ {
-            let rep = space.rep(i);
-            if done.insert(rep) {
-                let r = &space.poss[rep];
-                q.add_neq(
-                    Operand::proj(r.var, r.attr.clone()),
-                    Operand::proj(n + r.var, r.attr.clone()),
-                );
-            }
-        }
-    }
-    // Within-copy distinctness (Muse-D alternatives).
-    for &(i, j) in &req.distinct {
-        let (ri, rj) = (&space.poss[i], &space.poss[j]);
-        for copy in 0..req.copies {
-            q.add_neq(
-                Operand::proj(copy * n + ri.var, ri.attr.clone()),
-                Operand::proj(copy * n + rj.var, rj.attr.clone()),
-            );
-        }
-    }
-
-    // The first match is the example. With hints the evaluator probes
-    // composite hash keys, but a limited search keeps the plan-less binding
-    // order, so the match (and the transcript) is the same either way.
-    let budget = match deadline {
-        Some(at) => Budget::unlimited().with_deadline(at),
-        None => Budget::unlimited(),
-    };
-    let eval = EvalReq {
-        metrics,
-        budget: &budget,
-        hints,
-        limit: Some(1),
-    };
-    let (result, cut_short) = eval.run(source_schema, real, &q)?.into_parts();
-    let timed_out = cut_short.is_some();
-    let Some(binding) = result.into_iter().next() else {
-        return Ok((None, timed_out));
-    };
-    // Flatten to atomic values per (copy, var).
-    let mut rows = Vec::with_capacity(req.copies);
-    for copy in 0..req.copies {
-        let mut per_var = Vec::with_capacity(n);
-        for (vi, v) in m.source_vars.iter().enumerate() {
-            let rcd = source_schema
-                .element_record(&v.set)
-                .map_err(WizardError::Nr)?;
-            let Some(fields) = rcd.rcd_fields() else {
-                return Err(WizardError::MalformedExample(format!(
-                    "element of {} is not a record",
-                    v.set
-                )));
-            };
-            let tuple = &binding[copy * n + vi];
-            let vals: Vec<Value> = fields
-                .iter()
-                .zip(tuple)
-                .filter(|(f, _)| f.ty.is_atomic())
-                .map(|(_, v)| v.clone())
-                .collect();
-            per_var.push(vals);
-        }
-        rows.push(per_var);
-    }
-    Ok((Some(rows), false))
 }
 
 /// Materialize binding rows into a fresh instance: top-level tuples go into

@@ -34,6 +34,7 @@ pub mod museg;
 pub mod report;
 pub mod session;
 pub mod step;
+pub mod table;
 
 pub use cache::ProbeCache;
 pub use designer::{Designer, JoinChoice, OracleDesigner, ScenarioChoice, ScriptedDesigner};
@@ -45,3 +46,4 @@ pub use museg::{GroupingOutcome, GroupingQuestion, MuseG};
 pub use report::render as render_report;
 pub use session::{Session, SessionReport};
 pub use step::{Answer, PendingQuestion, Step, StepMemo};
+pub use table::{BindingTable, BindingTables};

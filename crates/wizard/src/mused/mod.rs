@@ -24,6 +24,7 @@ use muse_obs::{faultpoints, Budget, Metrics, Outcome, TruncationReason};
 use crate::designer::Designer;
 use crate::error::WizardError;
 use crate::example::{build_example_with, ClassSpace, Example, ExampleRequest};
+use crate::table::BindingTables;
 
 /// The disambiguation wizard, configured once per scenario.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +37,8 @@ pub struct MuseD<'a> {
     pub source_constraints: &'a Constraints,
     /// The designer's source instance, when available.
     pub real_instance: Option<&'a Instance>,
-    /// Time budget for the real-example search (Sec. VI).
+    /// Time budget for building a mapping's binding table from the real
+    /// instance (Sec. VI). `None` means no cap.
     pub real_example_budget: Option<Duration>,
     /// Execution budget for question construction. When it truncates the
     /// example search or partial chase, [`MuseD::disambiguate`] skips the
@@ -52,11 +54,14 @@ pub struct MuseD<'a> {
     /// unlimited, `real_example_budget` is `None` and no fault plan is
     /// armed — see [`crate::cache::ProbeCache`].
     pub probe_cache: Option<(&'a crate::cache::ProbeCache, &'a str)>,
-    /// Key/FD selectivity hints over the source schema: when set, `QIe`
-    /// example searches and the partial chase run plan-driven (identical
+    /// Key/FD selectivity hints over the source schema: when set, binding
+    /// table builds and the partial chase run plan-driven (identical
     /// results, far fewer `query.steps`). [`crate::Session`] derives these
     /// from `source_constraints` automatically.
     pub plan_hints: Option<&'a muse_query::SelectivityHints>,
+    /// The holder of `real_instance`'s binding tables ([`crate::table`]).
+    /// Without one, each question builds its own.
+    pub tables: Option<&'a BindingTables>,
     /// Incremental chase store: when set, the partial-target chase carries
     /// it in its [`ChaseReq`] (byte-identical output; scratch fallback
     /// under budgets/faults).
@@ -132,6 +137,7 @@ impl<'a> MuseD<'a> {
             metrics: Metrics::disabled_ref(),
             probe_cache: None,
             plan_hints: None,
+            tables: None,
             delta: None,
         }
     }
@@ -252,12 +258,14 @@ impl<'a> MuseD<'a> {
                 (b, rem) => b.or(rem),
             },
         };
+        let local = BindingTables::new();
+        let tables = self.tables.unwrap_or(&local);
         let example = build_example_with(
             m,
             &space,
             &req,
             self.source_schema,
-            self.real_instance,
+            self.real_instance.map(|inst| (inst, tables)),
             self.plan_hints,
             self.metrics,
         )?;

@@ -87,7 +87,8 @@ fn refine(
         skipped_truncated: 0,
         warnings: Vec::new(),
     };
-    let chosen = g.probe_loop(m, sk, &space, order, chosen0, 0, designer, &mut outcome)?;
+    let chosen =
+        g.with_tables(|g| g.probe_loop(m, sk, &space, order, chosen0, 0, designer, &mut outcome))?;
     outcome.grouping = refs_of(&space, chosen);
     Ok(outcome)
 }

@@ -5,61 +5,42 @@
 //! any grouping function is inconsequential for `I`, so Muse-G need not
 //! probe it.
 
-use muse_mapping::Mapping;
 use muse_nr::constraints::fdset::{attrs, AttrSet};
-use muse_nr::{Instance, Schema, Value};
-use muse_obs::Outcome;
-use muse_query::EvalReq;
 
-use crate::error::WizardError;
-use crate::example::ClassSpace;
+use crate::table::BindingTable;
 
-/// The poss indices that are inconsequential for `real`: constant across
-/// every binding (including the degenerate case of zero bindings, where
-/// every attribute is inconsequential). An evaluation cut short (an
-/// injected `query.eval` fault) proves nothing constant, so none is
-/// pruned — the answer Muse-G uses when the analysis is off.
-pub fn inconsequential_attrs(
-    m: &Mapping,
-    space: &ClassSpace,
-    source_schema: &Schema,
-    real: &Instance,
-) -> Result<AttrSet, WizardError> {
-    let Outcome::Complete(bindings) =
-        EvalReq::default().run(source_schema, real, &m.source_query())?
-    else {
-        return Ok(0);
+/// The poss indices that are inconsequential on the instance `table` was
+/// built from: those whose id column is constant (including the degenerate
+/// case of zero bindings, where every attribute is inconsequential). With
+/// no table — its build was cut short, say by an injected `query.eval`
+/// fault — nothing is proved constant and nothing is pruned, the answer
+/// Muse-G uses when the analysis is off.
+pub fn inconsequential_attrs(table: Option<&BindingTable>) -> AttrSet {
+    let Some(table) = table else {
+        return 0;
     };
     let mut out: AttrSet = 0;
-    for (i, r) in space.poss.iter().enumerate() {
-        let idx = source_schema
-            .attr_index(&m.source_vars[r.var].set, &r.attr)
-            .map_err(WizardError::Nr)?;
-        let mut first: Option<&Value> = None;
-        let mut constant = true;
-        for b in &bindings {
-            let v = &b[r.var][idx];
-            match first {
-                None => first = Some(v),
-                Some(f) if f == v => {}
-                Some(_) => {
-                    constant = false;
-                    break;
-                }
-            }
-        }
-        if constant {
-            out |= attrs([i]);
+    for c in 0..table.width() {
+        let first = (!table.is_empty()).then(|| table.id(0, c));
+        if (1..table.len()).all(|r| Some(table.id(r, c)) == first) {
+            out |= attrs([c]);
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muse_mapping::parse_one;
-    use muse_nr::{Constraints, Field, InstanceBuilder, Ty};
+    use crate::example::ClassSpace;
+    use muse_mapping::{parse_one, Mapping};
+    use muse_nr::{Constraints, Field, Instance, InstanceBuilder, Schema, Ty, Value};
+    use muse_query::EvalReq;
+
+    fn analyse(m: &Mapping, space: &ClassSpace, s: &Schema, inst: &Instance) -> AttrSet {
+        let table = BindingTable::build(m, space, s, inst, &EvalReq::default()).unwrap();
+        inconsequential_attrs(table.as_ref())
+    }
 
     fn schema() -> Schema {
         Schema::new(
@@ -96,7 +77,7 @@ mod tests {
         let inst = b.finish().unwrap();
         let m = mapping();
         let space = ClassSpace::new(&m, &s, &Constraints::none()).unwrap();
-        let inc = inconsequential_attrs(&m, &space, &s, &inst).unwrap();
+        let inc = analyse(&m, &space, &s, &inst);
         let loc = space
             .index_of(&muse_mapping::PathRef::new(0, "location"))
             .unwrap();
@@ -117,7 +98,7 @@ mod tests {
         let inst = Instance::new(&s);
         let m = mapping();
         let space = ClassSpace::new(&m, &s, &Constraints::none()).unwrap();
-        let inc = inconsequential_attrs(&m, &space, &s, &inst).unwrap();
+        let inc = analyse(&m, &space, &s, &inst);
         assert_eq!(inc, attrs([0, 1, 2]));
     }
 }

@@ -30,6 +30,7 @@ use muse_obs::{faultpoints, Budget, Metrics, Outcome, TruncationReason};
 use crate::designer::{Designer, ScenarioChoice};
 use crate::error::WizardError;
 use crate::example::{build_example_with, ClassSpace, Example, ExampleRequest};
+use crate::table::BindingTables;
 
 /// The grouping design wizard, configured once per scenario.
 #[derive(Debug, Clone, Copy)]
@@ -47,8 +48,9 @@ pub struct MuseG<'a> {
     /// skip attributes whose inclusion is inconsequential on the real
     /// instance (single-valued across the mapping's bindings).
     pub instance_only: bool,
-    /// Time budget per probe for searching the real instance before falling
-    /// back to a synthetic example (Sec. VI). `None` searches exhaustively.
+    /// Time budget for building a mapping's binding table from the real
+    /// instance before falling back to synthetic examples (Sec. VI). `None`
+    /// means no cap.
     pub real_example_budget: Option<Duration>,
     /// Execution budget for the whole design. A probe whose example search
     /// or scenario chase exceeds it is *skipped with a warning* (the probed
@@ -64,11 +66,14 @@ pub struct MuseG<'a> {
     /// `budget` is unlimited, `real_example_budget` is `None` and no fault
     /// plan is armed — see [`crate::cache::ProbeCache`].
     pub probe_cache: Option<(&'a crate::cache::ProbeCache, &'a str)>,
-    /// Key/FD selectivity hints over the source schema: when set, `QIe`
-    /// example searches and probe chases run plan-driven (identical
-    /// results, far fewer `query.steps`). [`crate::Session`] derives these
-    /// from `source_constraints` automatically.
+    /// Key/FD selectivity hints over the source schema: when set, binding
+    /// table builds and probe chases run plan-driven (identical results,
+    /// far fewer `query.steps`). [`crate::Session`] derives these from
+    /// `source_constraints` automatically.
     pub plan_hints: Option<&'a muse_query::SelectivityHints>,
+    /// The holder of `real_instance`'s binding tables ([`crate::table`]).
+    /// Without one, each design call keeps its own for its duration.
+    pub tables: Option<&'a BindingTables>,
     /// Incremental chase store: when set, probe chases carry it in their
     /// [`ChaseReq`], which rederives unchanged bindings from materialized
     /// state instead of re-chasing from scratch (byte-identical output;
@@ -153,8 +158,22 @@ impl<'a> MuseG<'a> {
             metrics: Metrics::disabled_ref(),
             probe_cache: None,
             plan_hints: None,
+            tables: None,
             delta: None,
         }
+    }
+
+    /// Run `f` with a binding-table holder: the attached one, else a fresh
+    /// one that lives for the call, so the call's probes share their tables.
+    pub(crate) fn with_tables<R>(&self, f: impl FnOnce(&MuseG<'_>) -> R) -> R {
+        if self.tables.is_some() {
+            return f(self);
+        }
+        let local = BindingTables::new();
+        f(&MuseG {
+            tables: Some(&local),
+            ..*self
+        })
     }
 
     /// Use a real source instance for example retrieval.
@@ -196,6 +215,15 @@ impl<'a> MuseG<'a> {
         sk: &SetPath,
         designer: &mut dyn Designer,
     ) -> Result<GroupingOutcome, WizardError> {
+        self.with_tables(|g| g.design_one(m, sk, designer))
+    }
+
+    fn design_one(
+        &self,
+        m: &Mapping,
+        sk: &SetPath,
+        designer: &mut dyn Designer,
+    ) -> Result<GroupingOutcome, WizardError> {
         if m.is_ambiguous() {
             return Err(WizardError::Mapping(
                 muse_mapping::MappingError::ConflictingAssignment {
@@ -224,15 +252,22 @@ impl<'a> MuseG<'a> {
             return Ok(outcome);
         }
 
-        // Instance-only pruning (Sec. III-C).
-        let inconsequential: AttrSet = if self.instance_only {
-            if let Some(real) = self.real_instance {
-                instance_only::inconsequential_attrs(m, &space, self.source_schema, real)?
-            } else {
-                0
+        // Instance-only pruning (Sec. III-C), read off the binding table.
+        // Its build is uncapped, as the analysis always was.
+        let inconsequential: AttrSet = match (self.instance_only, self.real_instance, self.tables) {
+            (true, Some(real), Some(tables)) => {
+                let table = tables.get(
+                    m,
+                    &space,
+                    self.source_schema,
+                    real,
+                    self.plan_hints,
+                    self.metrics,
+                    None,
+                )?;
+                instance_only::inconsequential_attrs(table.as_deref())
             }
-        } else {
-            0
+            _ => 0,
         };
         outcome.skipped_inconsequential = iter_attrs(inconsequential).count();
 
@@ -358,16 +393,18 @@ impl<'a> MuseG<'a> {
         designer: &mut dyn Designer,
     ) -> Result<Vec<GroupingOutcome>, WizardError> {
         let filled = m.filled_target_sets(self.target_schema)?;
-        let mut outcomes = Vec::new();
-        for sk in self.target_schema.set_paths_bfs() {
-            if !filled.contains(&sk) {
-                continue;
+        self.with_tables(|g| {
+            let mut outcomes = Vec::new();
+            for sk in g.target_schema.set_paths_bfs() {
+                if !filled.contains(&sk) {
+                    continue;
+                }
+                let outcome = g.design_one(m, &sk, designer)?;
+                m.set_grouping(sk.clone(), Grouping::new(outcome.grouping.clone()));
+                outcomes.push(outcome);
             }
-            let outcome = self.design_grouping(m, &sk, designer)?;
-            m.set_grouping(sk.clone(), Grouping::new(outcome.grouping.clone()));
-            outcomes.push(outcome);
-        }
-        Ok(outcomes)
+            Ok(outcomes)
+        })
     }
 
     /// The shared probe loop: ask about each attribute of `order` in turn,
@@ -510,12 +547,14 @@ impl<'a> MuseG<'a> {
             },
             ..req.clone()
         };
+        let local = BindingTables::new();
+        let tables = self.tables.unwrap_or(&local);
         let example = build_example_with(
             m,
             space,
             req,
             self.source_schema,
-            self.real_instance,
+            self.real_instance.map(|inst| (inst, tables)),
             self.plan_hints,
             self.metrics,
         )?;

@@ -12,6 +12,7 @@
 //! state is a `Progress` value, which [`Session::step`] can keep and
 //! resume from (see [`crate::step`]).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use muse_mapping::{Grouping, Mapping};
@@ -25,9 +26,11 @@ use crate::error::WizardError;
 use crate::mused::joins::outer_companion;
 use crate::mused::{DisambiguationOutcome, MuseD};
 use crate::museg::{GroupingOutcome, MuseG};
+use crate::table::BindingTables;
 
-/// A full wizard session over one mapping scenario.
-#[derive(Debug, Clone, Copy)]
+/// A full wizard session over one mapping scenario. Clones share the
+/// session's binding tables.
+#[derive(Debug, Clone)]
 pub struct Session<'a> {
     /// Source schema.
     pub source_schema: &'a Schema,
@@ -51,11 +54,11 @@ pub struct Session<'a> {
     /// Instrumentation sink, forwarded to both component wizards. Defaults
     /// to the no-op handle.
     pub metrics: &'a Metrics,
-    /// Wall-clock cap for the real-instance example search (`QIe`),
-    /// forwarded to both component wizards. `None` searches exhaustively —
-    /// the setting replayable services need, because a timed-out search
-    /// falls back to a synthetic example nondeterministically. Defaults to
-    /// the wizards' own 750 ms cap.
+    /// Wall-clock cap for building a mapping's binding table, the source
+    /// of real examples (`QIe`), forwarded to both component wizards.
+    /// `None` means no cap — the setting replayable services need, because
+    /// a build cut short falls back to synthetic examples
+    /// nondeterministically. Defaults to the wizards' own 750 ms cap.
     pub real_example_budget: Option<Duration>,
     /// Optional shared probe-question memo plus the context key covering
     /// everything outside the mappings that determines probe results
@@ -75,6 +78,11 @@ pub struct Session<'a> {
     /// Consulted under the same gate as `probe_cache`. See
     /// [`crate::step::StepMemo`].
     pub step_memo: Option<&'a crate::step::StepMemo>,
+    /// The holder of `real_instance`'s binding tables, kept across
+    /// [`Session::run`] and [`Session::step`] calls and consulted there
+    /// under the same gate as `probe_cache`; otherwise each call keeps its
+    /// own. See [`crate::table`].
+    pub tables: Arc<BindingTables>,
 }
 
 /// What a session produced.
@@ -148,6 +156,7 @@ impl<'a> Session<'a> {
             probe_cache: None,
             delta: None,
             step_memo: None,
+            tables: Arc::new(BindingTables::new()),
         }
     }
 
@@ -200,6 +209,13 @@ impl<'a> Session<'a> {
         self
     }
 
+    /// Keep the real instance's binding tables in `tables`, which outlives
+    /// the session (serve holds one per served session).
+    pub fn with_binding_tables(mut self, tables: Arc<BindingTables>) -> Self {
+        self.tables = tables;
+        self
+    }
+
     /// Run the wizard over `mappings` (e.g. the output of
     /// `muse_cliogen::generate`), interrogating `designer`.
     pub fn run(
@@ -208,10 +224,22 @@ impl<'a> Session<'a> {
         designer: &mut dyn Designer,
     ) -> Result<SessionReport, WizardError> {
         let hints = self.hints();
-        let wizards = self.wizards(&hints);
+        let local = BindingTables::new();
+        let wizards = self.wizards(&hints, self.tables_for_call(&local));
         let mut progress = Progress::default();
         while self.run_unit(&wizards, &mut progress, mappings, designer)? {}
         Ok(progress.into_report())
+    }
+
+    /// The binding tables one call uses: the session's own, which outlive
+    /// the call, under the replay gate (a warm table skips the `query.eval`
+    /// fault point its build passes); `local` otherwise.
+    pub(crate) fn tables_for_call<'t>(&'t self, local: &'t BindingTables) -> &'t BindingTables {
+        if crate::cache::replay_safe(self.budget, self.real_example_budget) {
+            &self.tables
+        } else {
+            local
+        }
     }
 
     /// Static selectivity hints from the declared source constraints: both
@@ -222,10 +250,11 @@ impl<'a> Session<'a> {
     }
 
     /// The two component wizards, configured from the session and
-    /// borrowing `hints` for the whole run.
+    /// borrowing `hints` and `tables` for the whole run.
     pub(crate) fn wizards<'h>(
         &self,
         hints: &'h muse_query::SelectivityHints,
+        tables: &'h BindingTables,
     ) -> (MuseD<'h>, MuseG<'h>)
     where
         'a: 'h,
@@ -241,6 +270,7 @@ impl<'a> Session<'a> {
         mused.real_example_budget = self.real_example_budget;
         mused.probe_cache = self.probe_cache;
         mused.plan_hints = Some(hints);
+        mused.tables = Some(tables);
         mused.delta = self.delta;
         let mut museg = MuseG::new(
             self.source_schema,
@@ -254,6 +284,7 @@ impl<'a> Session<'a> {
         museg.real_example_budget = self.real_example_budget;
         museg.probe_cache = self.probe_cache;
         museg.plan_hints = Some(hints);
+        museg.tables = Some(tables);
         museg.delta = self.delta;
         (mused, museg)
     }

@@ -29,11 +29,11 @@
 //! from another session — falls back to the full replay, which stays the
 //! restart path and the reference the resumed path is tested against.
 //!
-//! Determinism caveat: replay equality requires an exhaustive
-//! real-example search (`Session::with_real_example_budget(None)`) — the
-//! default wall-clock cap can time out on one run and not the next. The
-//! memo is consulted only under that setting, an unlimited budget and no
-//! armed fault plan.
+//! Determinism caveat: replay equality requires an uncapped real-example
+//! search (`Session::with_real_example_budget(None)`) — the default
+//! wall-clock cap on a binding-table build can cut one run short and not
+//! the next. The memo, like the session's binding tables, is consulted
+//! only under that setting, an unlimited budget and no armed fault plan.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -299,7 +299,8 @@ impl Session<'_> {
         };
         let start = consumed.len();
         let hints = self.hints();
-        let wizards = self.wizards(&hints);
+        let local = crate::table::BindingTables::new();
+        let wizards = self.wizards(&hints, self.tables_for_call(&local));
         let mut replay = StepDesigner {
             answers,
             next: start,

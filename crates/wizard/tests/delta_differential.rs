@@ -64,7 +64,7 @@ fn differential(s: &Scenario, instance: Option<&Instance>, cap: usize) -> muse_o
     let mappings = s.mappings().unwrap();
     let base = Session::new(&s.source_schema, &s.target_schema, &s.source_constraints)
         .with_real_example_budget(None);
-    let mut scratch_session = base;
+    let mut scratch_session = base.clone();
     if let Some(inst) = instance {
         scratch_session = scratch_session.with_instance(inst);
     }

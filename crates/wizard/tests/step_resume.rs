@@ -603,6 +603,40 @@ fn memo_is_bypassed_under_faults_and_budgets() {
         .0;
     assert_eq!(plain, with_memo);
 
+    // A warm binding-table holder steps aside too: a warm table skips the
+    // `query.eval` fault point its build passes, so under a `query.eval`
+    // plan a session whose holder an earlier step warmed must match a cold
+    // one, whichever evaluation the plan hits. The warming step stops at
+    // the first question, so the holder has the table a replay needs first.
+    let inst = s.instance(s.default_scale * 0.05, 1);
+    let real = Bench::new(&s, Some(&inst), false);
+    let real_run = real.record(Policy::Pattern);
+    let all = &real_run.answers[..];
+    let warm = real.uncached();
+    let (text, _) = real.step(&warm, &all[..1]);
+    assert_eq!(text, real_run.transcript[1]);
+    assert!(
+        !warm.tables.is_empty(),
+        "the fault-free step warms the holder"
+    );
+    let mut changed = false;
+    for hit in [1, 2, 3, 5, 8, 13] {
+        let spec = format!("query.eval:deadline@{hit}");
+        let plan = muse_fault::parse_spec(&spec).unwrap();
+        let under_plan = |session: &Session| {
+            let _armed = muse_fault::arm_scoped(plan.clone());
+            real.step(session, all).0
+        };
+        let cold = under_plan(&real.uncached());
+        assert_eq!(
+            under_plan(&warm),
+            cold,
+            "{spec}: a warm binding-table holder changed the faulted outcome"
+        );
+        changed |= Some(&cold) != real_run.transcript.last();
+    }
+    assert!(changed, "no query.eval plan changed the outcome");
+
     assert_eq!(resumes(), before, "the memo resumed outside its gate");
     assert_eq!(
         memo.resume_point(),

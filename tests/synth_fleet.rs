@@ -11,7 +11,12 @@
 //!    the reference evaluator for every mapping query;
 //! 3. **wizard property**: a G1/G2/G3 oracle session terminates without
 //!    error, stays within the `MUSE-A003` question bounds for every
-//!    grouping it designs, and its final mappings chase to a valid target.
+//!    grouping it designs, and its final mappings chase to a valid target;
+//! 4. **example reference** (seeds 0..64): every example of a G2 session
+//!    matches a B×B nested-loop reference — real exactly when the reference
+//!    finds qualifying rows, and then the least ones — and the
+//!    instance-only analysis read off the binding tables equals the
+//!    constant-column analysis over cloned bindings.
 //!
 //! The seed range is sharded across CI workers via `MUSE_FLEET_SEEDS=lo..hi`
 //! (default `0..16`, so the tier-1 run stays fast); the CI `fleet` job's
@@ -20,14 +25,18 @@
 
 use muse_obs::Metrics;
 use muse_suite::chase::{chase, fingerprint, ChaseReq};
-use muse_suite::cliogen::{desired_grouping, GroupingStrategy};
+use muse_suite::cliogen::GroupingStrategy;
 use muse_suite::lint::budget::question_budget;
 use muse_suite::lint::{lint, LintInput};
-use muse_suite::mapping::ambiguity::{self, or_groups, select_multi};
+use muse_suite::mapping::ambiguity;
 use muse_suite::mapping::Mapping;
 use muse_suite::scenarios::synth::SynthCfg;
 use muse_suite::scenarios::Scenario;
-use muse_suite::wizard::{OracleDesigner, Session};
+use muse_suite::wizard::Session;
+
+#[path = "support/example_reference.rs"]
+mod example_reference;
+use example_reference::oracle_for;
 
 fn seed_range() -> std::ops::Range<u64> {
     let spec = std::env::var("MUSE_FLEET_SEEDS").unwrap_or_else(|_| "0..16".into());
@@ -76,38 +85,6 @@ fn ready_mappings(s: &Scenario) -> Vec<Mapping> {
             m
         })
         .collect()
-}
-
-/// An oracle wanting `strategy` groupings and the first interpretation of
-/// every or-group — the designer `muse scenario --strategy` simulates.
-fn oracle_for<'a>(scenario: &'a Scenario, strategy: GroupingStrategy) -> OracleDesigner<'a> {
-    let mappings = scenario.mappings().unwrap();
-    let mut oracle = OracleDesigner::new(&scenario.source_schema, &scenario.target_schema);
-    for m in &mappings {
-        let resolved = if m.is_ambiguous() {
-            let picks = vec![vec![0usize]; or_groups(m).len()];
-            oracle
-                .intended_choices
-                .insert(m.name.clone(), picks.clone());
-            select_multi(m, &picks).unwrap()
-        } else {
-            vec![m.clone()]
-        };
-        for sel in resolved {
-            for sk in sel.filled_target_sets(&scenario.target_schema).unwrap() {
-                let desired = desired_grouping(
-                    &sel,
-                    &sk,
-                    strategy,
-                    &scenario.source_schema,
-                    &scenario.target_schema,
-                )
-                .unwrap();
-                oracle.intend_grouping(sel.name.clone(), sk, desired);
-            }
-        }
-    }
-    oracle
 }
 
 fn check_lint(s: &Scenario) {
@@ -170,6 +147,16 @@ fn check_plan_differential(s: &Scenario, scale: f64, seed: u64) {
             s.name, m.name
         );
     }
+}
+
+/// Every example of a G2 session against the B×B reference, and the
+/// instance-only analysis against today's. Returns (examples checked, real
+/// ones).
+fn check_example_reference(s: &Scenario, scale: f64, seed: u64) -> (usize, usize) {
+    let source = s.instance(scale, seed);
+    let checked = example_reference::check_session(s, &source, oracle_for(s, GroupingStrategy::G2));
+    example_reference::check_instance_only(s, &source, &ready_mappings(s));
+    checked
 }
 
 fn check_differential(s: &Scenario, scale: f64, seed: u64) {
@@ -286,16 +273,26 @@ fn fleet_passes_lint_differential_and_wizard_property() {
             GroupingStrategy::G3,
         ];
         let mut checked = 0u64;
+        let (mut examples, mut real) = (0usize, 0usize);
+        let reference_shard = range.start < 64;
         for seed in range {
             let s = Scenario::synthetic(SynthCfg::from_seed(seed));
             check_lint(&s);
             check_differential(&s, scale, seed);
             if seed < 64 {
                 check_plan_differential(&s, scale, seed);
+                let (e, r) = check_example_reference(&s, scale, seed);
+                examples += e;
+                real += r;
             }
             check_wizard_property(&s, scale, seed, strategies[(seed % 3) as usize]);
             checked += 1;
         }
         eprintln!("fleet: {checked} scenarios passed lint + differential + wizard property");
+        eprintln!("fleet: {examples} examples ({real} real) matched the B×B reference");
+        assert!(
+            !reference_shard || real > 0,
+            "the B×B reference checked no real example"
+        );
     });
 }
